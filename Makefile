@@ -21,6 +21,7 @@ test-short:
 # What .github/workflows/ci.yml runs (the workflow adds fuzz-smoke).
 ci: vet build test shard-matrix
 	$(GO) test -race -short ./internal/...
+	$(GO) test -race -short . ./examples/workloads
 	$(GO) run ./cmd/benchjson -quick
 	$(GO) run ./cmd/benchjson -shards -quick
 	$(GO) test -race -run 'TestLoadShardEquivalence' ./examples/workloads

@@ -153,3 +153,50 @@ func TestKVServiceCrashBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestKVServiceClientCrash crashes a client image (rank 5) mid-traffic
+// instead of a server. The dead client's driver must stop issuing,
+// charge its unissued and outstanding requests as lost to itself, and
+// let the run end cleanly so the survivors' SLO is reported. Before,
+// this ended in the driver's untyped "client image 5 stalled" panic.
+// The lock protocol may also lose survivors' requests to rank 5, whose
+// worker procs can die holding a lock; function shipping loses only the
+// dead client's own.
+func TestKVServiceClientCrash(t *testing.T) {
+	for _, shipping := range []bool{false, true} {
+		name := "locks"
+		if shipping {
+			name = "shipping"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := kvLoadCfg(7, 0)
+			cfg.Faults.Crash = map[int]caf.Time{5: 80 * caf.Microsecond}
+			var slo, again load.SLO
+			res, err := workloads.KVService(cfg, kvLoadOpts(shipping, &slo))
+			if err != nil {
+				t.Fatalf("client crash run did not terminate cleanly: %v", err)
+			}
+			if slo.Completed+slo.Failed != slo.Requests {
+				t.Fatalf("requests unsettled: done=%d fail=%d of %d", slo.Completed, slo.Failed, slo.Requests)
+			}
+			if slo.Failed == 0 || slo.Completed == 0 {
+				t.Fatalf("done=%d fail=%d: scenario not exercising a mid-traffic client crash", slo.Completed, slo.Failed)
+			}
+			if len(slo.LostTo) != 1 || slo.LostTo[5] != slo.Failed {
+				t.Errorf("LostTo = %v, want all %d failures blamed on rank 5", slo.LostTo, slo.Failed)
+			}
+			if res.Report.ImagesFailed != 1 {
+				t.Errorf("ImagesFailed = %d, want 1 (the crashed client)", res.Report.ImagesFailed)
+			}
+			// Four clients share the schedule evenly enough that the dead
+			// one owns well under half of it.
+			if shipping && slo.Failed*2 >= slo.Requests {
+				t.Errorf("shipping lost %d of %d requests to one dead client", slo.Failed, slo.Requests)
+			}
+			res2, err := workloads.KVService(cfg, kvLoadOpts(shipping, &again))
+			if err != nil || !reflect.DeepEqual(res, res2) || !reflect.DeepEqual(slo, again) {
+				t.Fatalf("same seed diverged (err %v):\n 1st %s\n 2nd %s", err, slo.Digest(), again.Digest())
+			}
+		})
+	}
+}

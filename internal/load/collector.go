@@ -165,6 +165,34 @@ func (c *Collector) ReconcileDead(m *caf.Machine, now caf.Time, client int) int 
 	return len(seqs)
 }
 
+// Abandon settles everything client still owes once the client image
+// itself has been declared dead: its outstanding requests and the
+// unissued rest of its schedule fail, blamed on the client's own rank.
+// Nothing the dead image issued can be observed any more, and nothing
+// it has yet to issue ever will be.
+func (c *Collector) Abandon(m *caf.Machine, now caf.Time, client int, unissued []Request) {
+	at, _ := m.ImageDeadAt(client)
+	err := &caf.ImageFailedError{Rank: client, At: at, Op: c.op}
+	var seqs []int
+	for seq, p := range c.pend {
+		if p.client == client {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Ints(seqs)
+	for _, seq := range seqs {
+		c.Fail(m, now, seq, err)
+	}
+	if n := int64(len(unissued)); n > 0 {
+		c.failed += n
+		c.lostTo[client] += n
+		if now > c.lastDone {
+			c.lastDone = now
+		}
+		m.Metrics().Counter("load_requests_failed_total", "requests failed with a typed ImageFailedError").Add(client, n)
+	}
+}
+
 // ReplayDead withdraws (and returns, in seq order) every outstanding
 // request of client whose target's death has been *committed* by the
 // replication epoch agreement. Unlike ReconcileDead this is not a loss:

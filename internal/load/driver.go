@@ -51,7 +51,9 @@ type DriveOpts struct {
 // `client` of the schedule: issue every arrival at its scheduled
 // virtual time (regardless of how many earlier requests are still in
 // flight — open loop), poll continuations, reconcile crashed targets,
-// and return once every one of this client's requests is settled.
+// and return once every one of this client's requests is settled. If
+// img itself is declared dead, the loop stops and charges its unissued
+// and outstanding requests as lost to img.
 //
 // The loop never parks in PollSet.Wait: after an image death, Wait
 // aborts the whole proc when woken with nothing ready, which is exactly
@@ -92,6 +94,13 @@ func Drive(img *caf.Image, client int, sched []Request, col *Collector, o DriveO
 	prevOut := -1
 	for {
 		now := img.Now()
+		if m.ImageDead(me) {
+			// This client has been declared dead: nothing it issued can
+			// be observed and nothing more will be issued. Settle its
+			// share as lost to itself so the survivors' SLO still lands.
+			col.Abandon(m, now, me, mine[i:])
+			return
+		}
 		for i < len(mine) && mine[i].At <= now {
 			r := mine[i]
 			i++

@@ -12,6 +12,7 @@ package rt
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"caf2go/internal/fabric"
 	"caf2go/internal/failure"
@@ -84,6 +85,8 @@ func NewKernel(eng *sim.Engine, n int, cfg fabric.Config) *Kernel {
 			ep:    k.fab.Endpoint(i),
 			rng:   eng.DeriveRand(int64(i)),
 			calls: make(map[uint64]*callWait),
+
+			procPrefix: "img" + strconv.Itoa(i) + "/",
 		}
 		k.images[i] = img
 		img.ep.RegisterHandler(tagReply, func(ep *fabric.Endpoint, m *fabric.Msg) {
@@ -152,8 +155,9 @@ type ImageKernel struct {
 	nextCallID uint64
 	calls      map[uint64]*callWait
 
-	procSeq int         // names for procs spawned on this image
-	procs   []*sim.Proc // every proc started on this image (diagnostics)
+	procSeq    int         // numbers the procs started on this image
+	procPrefix string      // "img<rank>/", the prefix of their names
+	procs      sim.ProcSet // unfinished procs started on this image (diagnostics)
 }
 
 // Rank returns the image's world rank.
@@ -171,22 +175,24 @@ func (img *ImageKernel) Engine() *sim.Engine { return img.k.eng }
 // Endpoint returns the image's fabric endpoint.
 func (img *ImageKernel) Endpoint() *fabric.Endpoint { return img.ep }
 
-// Go starts a simulated process on this image. The proc is owned by the
-// image's engine shard, so its start and every later wakeup are admitted
-// through that shard's queue.
+// Go starts a simulated process on this image, named
+// "img<rank>/<name>#<n>" for the image's n-th proc. The proc is owned by
+// the image's engine shard, so its start and every later wakeup are
+// admitted through that shard's queue.
 func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	img.procSeq++
 	eng := img.k.eng
 	shard := sim.ShardOf(img.rank, len(img.k.images), eng.NumShards())
-	p := eng.GoOn(shard, fmt.Sprintf("img%d/%s#%d", img.rank, name, img.procSeq), fn)
-	img.procs = append(img.procs, p)
+	p := eng.GoOn(shard, sim.ProcName{Prefix: img.procPrefix, Base: name, Seq: img.procSeq}, fn)
+	img.procs.Add(p)
 	return p
 }
 
-// Procs returns every process started on this image via Go, in start
-// order — the per-image wait-state dump for deadlock diagnostics reads
-// their states from here.
-func (img *ImageKernel) Procs() []*sim.Proc { return img.procs }
+// Procs returns the unfinished processes started on this image via Go,
+// in start order — the per-image wait-state dump for deadlock
+// diagnostics reads their states from here. The slice is valid until
+// the image starts another proc.
+func (img *ImageKernel) Procs() []*sim.Proc { return img.procs.Live() }
 
 // SendOpts mirror fabric completion callbacks plus the tracking context.
 type SendOpts struct {

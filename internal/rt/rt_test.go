@@ -252,3 +252,35 @@ func TestPerImageRngIndependentAndStable(t *testing.T) {
 		t.Error("images 0 and 1 share a random stream (suspicious)")
 	}
 }
+
+// TestProcsHoldsOnlyLiveProcs starts 100k short procs on one image. The
+// names keep the "img<rank>/<name>#<n>" form, and Procs stays bounded by
+// the procs alive at the time instead of by every proc ever started.
+func TestProcsHoldsOnlyLiveProcs(t *testing.T) {
+	const total = 100_000
+	eng, k := newTestKernel(2)
+	img := k.Image(1)
+	peakLive, peakSlots := 0, 0
+	img.Go("driver", func(p *sim.Proc) {
+		for i := 0; i < total; i++ {
+			q := img.Go("short", func(q *sim.Proc) { q.Sleep(sim.Time(i % 5)) })
+			if want := fmt.Sprintf("img1/short#%d", i+2); i%9999 == 0 && q.Name() != want {
+				t.Errorf("name %q, want %q", q.Name(), want)
+			}
+			peakLive = max(peakLive, eng.LiveProcs())
+			peakSlots = max(peakSlots, cap(img.procs.Live()))
+			if i%16 == 15 {
+				p.Sleep(1)
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(img.Procs()); n != 0 {
+		t.Fatalf("Procs() holds %d procs after the run, want 0", n)
+	}
+	if peakSlots > 4*peakLive {
+		t.Errorf("Procs grew to %d slots for at most %d live procs", peakSlots, peakLive)
+	}
+}

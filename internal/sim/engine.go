@@ -16,8 +16,10 @@ const DefaultLookahead = 1 * Microsecond
 // Engine is a deterministic discrete-event simulator, sharded for scale.
 //
 // Exactly one strand of execution — either an event callback or a simulated
-// process (Proc) — runs at any moment; the engine goroutine and process
-// goroutines hand control back and forth over unbuffered channels. Because
+// process (Proc) — runs at any moment. Proc bodies run on runtime
+// coroutines (iter.Pull), pooled as carriers that run one body after
+// another: the engine switches into a carrier to resume a proc, and the
+// proc switches back when it sleeps, parks or returns. Because
 // all ties in the event queue are broken by schedule order and all
 // randomness flows from the engine's seeded generator, runs are bit-for-bit
 // reproducible.
@@ -43,10 +45,11 @@ type Engine struct {
 	par       bool // far-domain workers requested (shards > 1)
 	workersUp bool
 
-	yield   chan struct{} // running proc -> engine handoff
 	current *Proc
-	procs   []*Proc
-	live    int
+	procs   ProcSet    // unfinished procs, in creation order
+	live    int        // procs not yet finished
+	nextID  int        // id of the next proc created
+	idle    []*carrier // carriers with no proc, reused before creating one
 
 	rng        *rand.Rand
 	seed       int64
@@ -72,7 +75,6 @@ func NewEngineSharded(seed int64, nshards int) *Engine {
 		nshards = 1
 	}
 	e := &Engine{
-		yield:     make(chan struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
 		seed:      seed,
 		lookahead: DefaultLookahead,
@@ -265,12 +267,14 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.stopped {
 		return nil
 	}
+	// The queue drained: stop the idle carriers, so that a finished
+	// machine keeps no goroutines and a deadlocked one keeps only those
+	// of its blocked procs.
+	e.releaseCarriers()
 	if e.live > 0 {
 		var parked []string
-		for _, p := range e.procs {
-			if p.state != procDone {
-				parked = append(parked, p.describe())
-			}
+		for _, p := range e.procs.Live() {
+			parked = append(parked, p.describe())
 		}
 		sort.Strings(parked)
 		return &DeadlockError{Now: e.now, Parked: parked}
@@ -323,9 +327,10 @@ func (e *Engine) ReleaseWorkers() {
 // order. Callers use it to force re-evaluation of every blocked wait
 // condition after a global state change (e.g. a failure declaration);
 // all park sites re-check their condition in a loop, so the wakeups are
-// harmless where the condition still holds.
+// harmless where the condition still holds. Only unfinished procs are
+// scanned.
 func (e *Engine) WakeAllParked() {
-	for _, p := range e.procs {
+	for _, p := range e.procs.procs {
 		if p.state == procParked {
 			p.Unpark()
 		}
@@ -338,32 +343,28 @@ func (e *Engine) Idle() bool { return e.minShard() == nil && e.live == 0 }
 // LiveProcs reports the number of processes that have not finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
-// Shutdown aborts all live processes so their goroutines exit, then
-// releases any shard workers. It must be called from outside the
-// simulation (after Run returns), typically via defer in tests that
-// abandon a simulation mid-flight.
+// Shutdown aborts all live processes, in creation order, so their
+// bodies unwind, then stops the idle carriers and releases any shard
+// workers. It must be called from outside the simulation (after Run
+// returns), typically via defer in tests that abandon a simulation
+// mid-flight.
 func (e *Engine) Shutdown() {
-	for _, p := range e.procs {
-		if p.state == procDone {
-			continue
+	// A copy: unwinding bodies may start procs, and Add may sweep the
+	// set's backing array in place.
+	for _, p := range append([]*Proc(nil), e.procs.Live()...) {
+		if p.state != procDone {
+			e.abort(p)
 		}
-		p.aborted = true
-		e.cur = p.shard
-		e.current = p
-		p.resume <- struct{}{}
-		<-e.yield
-		e.current = nil
 	}
+	e.releaseCarriers()
 	e.ReleaseWorkers()
 }
 
-// resumeProc transfers control to p until it yields back.
-func (e *Engine) resumeProc(p *Proc) {
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
+// abort unwinds p's body; a proc that never started skips its body.
+func (e *Engine) abort(p *Proc) {
+	p.aborted = true
+	e.cur = p.shard
+	e.resumeProc(p)
 }
 
 // Current returns the process currently executing, or nil when the engine

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 type procState uint8
 
@@ -31,23 +34,45 @@ func (s procState) String() string {
 // procAbort is the panic payload used by Engine.Shutdown to unwind procs.
 type procAbort struct{}
 
-// Proc is a simulated process: a goroutine that runs only when the engine
+// Proc is a simulated process: a body that runs only when the engine
 // hands it control, and that advances virtual time via Sleep/Park rather
-// than real blocking. All Proc methods must be called from the proc's own
-// goroutine, except Unpark, which is called by whoever wakes it.
+// than real blocking. Bodies run on pooled carrier coroutines (see
+// carrier); each Proc is used once, so a stale Unpark on a finished
+// proc stays a no-op even after its carrier has moved on. All Proc
+// methods must be called from the proc's own body, except Unpark, which
+// is called by whoever wakes it.
 type Proc struct {
 	eng   *Engine
 	id    int
-	name  string
+	name  ProcName
 	shard int // owning shard: all of this proc's wakeups are admitted there
 
-	resume chan struct{}
-	state  procState
+	fn    func(p *Proc) // body, cleared when it returns
+	c     *carrier      // coroutine running the body, nil before start and after exit
+	step  func()        // pre-bound onEvent: the start, sleep and wake callback
+	state procState
 
 	wakePending bool // an unpark event is already queued
 	permit      bool // a stored unpark for a proc not currently parked
 	aborted     bool
 	blockReason string
+}
+
+// ProcName is a proc name kept in parts and joined only when Name is
+// called: Prefix+Base, followed by "#"+Seq when Seq > 0. Runtimes that
+// number their procs pass the parts instead of formatting a name for
+// every proc, since names are only read by diagnostics.
+type ProcName struct {
+	Prefix, Base string
+	Seq          int
+}
+
+// String joins the name.
+func (n ProcName) String() string {
+	if n.Seq <= 0 {
+		return n.Prefix + n.Base
+	}
+	return n.Prefix + n.Base + "#" + strconv.Itoa(n.Seq)
 }
 
 // Go creates a process named name and schedules it to start immediately,
@@ -64,51 +89,71 @@ func (e *Engine) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
 
 // GoOn creates a process owned by a specific shard and schedules it to
 // start immediately. Image procs use this so each image's work is
-// admitted through its owning shard's queue.
-func (e *Engine) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
-	return e.GoAtOn(shard, e.now, name, fn)
+// admitted through its owning shard's queue; their numbered names are
+// passed in parts and joined only if something reads them.
+func (e *Engine) GoOn(shard int, name ProcName, fn func(p *Proc)) *Proc {
+	return e.goAt(shard, e.now, name, fn)
 }
 
 // GoAtOn creates a process owned by a specific shard, starting at t.
 func (e *Engine) GoAtOn(shard int, t Time, name string, fn func(p *Proc)) *Proc {
+	return e.goAt(shard, t, ProcName{Base: name}, fn)
+}
+
+func (e *Engine) goAt(shard int, t Time, name ProcName, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		shard:  shard,
-		resume: make(chan struct{}),
-		state:  procNew,
+		eng:   e,
+		id:    e.nextID,
+		name:  name,
+		shard: shard,
+		fn:    fn,
+		state: procNew,
 	}
-	e.procs = append(e.procs, p)
+	p.step = p.onEvent
+	e.nextID++
+	e.procs.Add(p)
 	e.live++
-	go p.run(fn)
-	e.AtShard(shard, t, func() {
-		if p.aborted {
-			return
-		}
-		p.state = procRunning
-		e.resumeProc(p)
-	})
+	e.AtShard(shard, t, p.step)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume
+// onEvent is the proc's one engine callback, pre-bound at creation. A
+// proc has at most one resumption queued at a time (its start, the end
+// of its sleep, or an Unpark's wake), so the state tells them apart.
+func (p *Proc) onEvent() {
+	if p.wakePending {
+		p.wakePending = false
+		if p.aborted || p.state != procParked {
+			// Woken by something else in the meantime; convert this
+			// wake into a permit so it is not lost.
+			if p.state != procDone {
+				p.permit = true
+			}
+			return
+		}
+	} else if p.aborted || (p.state != procNew && p.state != procSleeping) {
+		return
+	}
+	p.state = procRunning
+	p.eng.resumeProc(p)
+}
+
+// run executes the body on the proc's carrier. A panic other than
+// Shutdown's abort becomes the engine's error; either way the proc is
+// finished when run returns, and the carrier is free for the next body.
+func (p *Proc) run() {
 	defer func() {
 		r := recover()
-		if _, ok := r.(procAbort); ok {
-			r = nil
-		} else if r != nil && p.eng.procErr == nil {
-			p.eng.procErr = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
+		if _, ok := r.(procAbort); !ok && r != nil && p.eng.procErr == nil {
+			p.eng.procErr = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
 		}
 		p.state = procDone
+		p.fn = nil
 		p.eng.live--
-		p.eng.yield <- struct{}{}
 	}()
-	if p.aborted {
-		panic(procAbort{})
+	if !p.aborted {
+		p.fn(p)
 	}
-	fn(p)
 }
 
 // ID returns the process id, unique within its engine.
@@ -118,7 +163,7 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Shard() int { return p.shard }
 
 // Name returns the process name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name.String() }
 
 // Engine returns the engine the proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -135,19 +180,17 @@ func (p *Proc) BlockReason() string { return p.blockReason }
 func (p *Proc) Now() Time { return p.eng.now }
 
 func (p *Proc) describe() string {
-	s := fmt.Sprintf("%s[%d] %s", p.name, p.id, p.state)
+	s := fmt.Sprintf("%s[%d] %s", p.Name(), p.id, p.state)
 	if p.blockReason != "" {
 		s += " (" + p.blockReason + ")"
 	}
 	return s
 }
 
-// yieldToEngine parks the goroutine and gives control back to the engine
+// yieldToEngine suspends the body and gives control back to the engine
 // loop, returning when the engine resumes this proc.
 func (p *Proc) yieldToEngine() {
-	p.eng.yield <- struct{}{}
-	<-p.resume
-	if p.aborted {
+	if !p.c.yield(struct{}{}) || p.aborted {
 		panic(procAbort{})
 	}
 }
@@ -160,13 +203,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.state = procSleeping
-	p.eng.AtShard(p.shard, p.eng.now+d, func() {
-		if p.aborted || p.state != procSleeping {
-			return
-		}
-		p.state = procRunning
-		p.eng.resumeProc(p)
-	})
+	p.eng.AtShard(p.shard, p.eng.now+d, p.step)
 	p.yieldToEngine()
 }
 
@@ -199,19 +236,7 @@ func (p *Proc) Unpark() {
 		// The wake is admitted through the proc's owning shard: wakers
 		// on other shards post into its inbox, keeping every resumption
 		// of p in its own shard's admission stream.
-		p.eng.AtShard(p.shard, p.eng.now, func() {
-			p.wakePending = false
-			if p.aborted || p.state != procParked {
-				// Woken by something else in the meantime; convert
-				// this wake into a permit so it is not lost.
-				if p.state != procDone {
-					p.permit = true
-				}
-				return
-			}
-			p.state = procRunning
-			p.eng.resumeProc(p)
-		})
+		p.eng.AtShard(p.shard, p.eng.now, p.step)
 	case procDone:
 		// nothing to wake
 	default:
@@ -225,6 +250,44 @@ func (p *Proc) WaitUntil(reason string, cond func() bool) {
 	for !cond() {
 		p.Park(reason)
 	}
+}
+
+// ProcSet holds unfinished procs in creation order. Finished procs are
+// swept out when the backing array fills, and the array only grows when
+// a sweep frees less than half of it, so its size is bounded by the
+// peak number of live procs rather than by how many were ever created.
+// The zero value is an empty set.
+type ProcSet struct {
+	procs []*Proc
+}
+
+// Add appends p, sweeping out finished procs first if the set is full.
+func (s *ProcSet) Add(p *Proc) {
+	if n := len(s.procs); n > 0 && n == cap(s.procs) {
+		s.sweep()
+		if len(s.procs) > n/2 {
+			s.procs = append(make([]*Proc, 0, 2*n), s.procs...)
+		}
+	}
+	s.procs = append(s.procs, p)
+}
+
+// Live returns the unfinished procs in creation order. The slice is
+// owned by the set and valid until the next Add.
+func (s *ProcSet) Live() []*Proc {
+	s.sweep()
+	return s.procs
+}
+
+func (s *ProcSet) sweep() {
+	keep := s.procs[:0]
+	for _, p := range s.procs {
+		if p.state != procDone {
+			keep = append(keep, p)
+		}
+	}
+	clear(s.procs[len(keep):])
+	s.procs = keep
 }
 
 // Cond is a condition-variable analogue for simulated processes.

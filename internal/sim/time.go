@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine multiplexes an arbitrary number of simulated processes
-// (goroutine-backed coroutines, see Proc) against a single virtual clock.
+// (bodies on pooled runtime coroutines, see Proc) against a single virtual clock.
 // Exactly one process or event callback executes at a time, and all
 // scheduling ties are broken by insertion order, so a simulation run is a
 // pure function of its inputs and seed. This is the substrate on which the
