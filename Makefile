@@ -19,6 +19,8 @@ test-short:
 	$(GO) test -short ./...
 
 # What .github/workflows/ci.yml runs (the workflow adds fuzz-smoke).
+# perfbench is a nested module, so its gate and pinned-digest tests need
+# their own step: the root `go test ./...` does not reach them.
 ci: vet build test shard-matrix
 	$(GO) test -race -short ./internal/...
 	$(GO) test -race -short . ./examples/workloads
@@ -29,6 +31,7 @@ ci: vet build test shard-matrix
 	$(GO) run ./cmd/benchjson -recovery -quick
 	$(MAKE) path-smoke
 	$(GO) run ./cmd/benchjson -path -quick
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

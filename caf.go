@@ -398,7 +398,7 @@ func (m *Machine) Launch(main func(img *Image)) {
 					panic(r)
 				}()
 			}
-			img := &Image{m: m, st: st, proc: p, ct: m.newTracker()}
+			img := &Image{m: m, st: st, proc: p}
 			if m.race != nil {
 				img.rc = m.race.d.NewCtx(nil)
 			}
@@ -406,7 +406,7 @@ func (m *Machine) Launch(main func(img *Image)) {
 			// Program exit is a synchronization point: flush any
 			// deferred initiations and coalescing buffers so the
 			// machine drains.
-			img.ct.Flush()
+			img.flushImplicit()
 			st.kern.FlushCoalesced()
 		})
 	}
@@ -623,6 +623,23 @@ func (m *Machine) FinishRoundTimes(rank int) []Time {
 // deadlock report).
 func (m *Machine) Shutdown() { m.eng.Shutdown() }
 
+// tracker returns this execution context's cofence tracker, making it
+// on first use.
+func (img *Image) tracker() *core.CofenceTracker {
+	if img.ct == nil {
+		img.ct = img.m.newTracker()
+	}
+	return img.ct
+}
+
+// flushImplicit initiates the context's buffered implicit operations
+// (relaxed mode); a context that never made its tracker has none.
+func (img *Image) flushImplicit() {
+	if img.ct != nil {
+		img.ct.Flush()
+	}
+}
+
 // newTracker builds a cofence tracker for one execution context.
 func (m *Machine) newTracker() *core.CofenceTracker {
 	ct := core.NewCofenceTracker(m.cfg.Relaxed, m.cfg.MaxDelayed)
@@ -791,13 +808,20 @@ func (img *Image) traceInstant(name, cat string) {
 // active request context the op also becomes a span on the request's
 // causal DAG, parented to the context's enclosing span.
 func (img *Image) opNew(kind string, peer int) *Op {
-	o := &Op{m: img.m, kind: kind, img: img.Rank(),
+	o := &Op{}
+	img.opInit(o, kind, peer)
+	return o
+}
+
+// opInit starts a completion handle that lives inside its operation's
+// own record (see opNew).
+func (img *Image) opInit(o *Op, kind string, peer int) {
+	*o = Op{m: img.m, kind: kind, img: img.Rank(),
 		id: img.m.life.OpNew(kind, img.Rank(), peer, img.Now())}
 	if img.m.path != nil && img.pctx.Active() {
 		o.pctx = img.pctx
 		o.span = img.m.path.SpanNew(img.pctx, kind, img.Rank(), peer, img.Now())
 	}
-	return o
 }
 
 // opStage advances an op's completion level as observed on this image:
@@ -856,7 +880,8 @@ type Image struct {
 	// ct tracks the implicitly-synchronized operations initiated by THIS
 	// execution context. A cofence inside a shipped function captures
 	// only operations launched by that function (dynamic scoping,
-	// paper Fig. 10), so every proc carries its own tracker.
+	// paper Fig. 10), so every proc carries its own tracker, made on
+	// first use (see tracker): most shipped functions initiate nothing.
 	ct *core.CofenceTracker
 
 	// finishStack holds the dynamically enclosing finish blocks opened
@@ -865,6 +890,7 @@ type Image struct {
 	// §III-B3).
 	finishStack     []*core.State
 	inheritedFinish int64 // 0 = none
+	inheritedTrack  any   // inheritedFinish's tracking context, boxed once
 
 	// payload carries the copied argument bytes of the spawn that
 	// started this proc.
@@ -934,10 +960,13 @@ func (img *Image) Machine() *Machine { return img.m }
 // operations initiated by this proc, or nil outside any finish.
 func (img *Image) track() any {
 	if n := len(img.finishStack); n > 0 {
-		return img.finishStack[n-1].Ref()
+		return img.finishStack[n-1].Track()
 	}
 	if img.inheritedFinish != 0 {
-		return core.Ref{ID: img.inheritedFinish}
+		if img.inheritedTrack == nil {
+			img.inheritedTrack = core.Ref{ID: img.inheritedFinish}
+		}
+		return img.inheritedTrack
 	}
 	return nil
 }

@@ -79,9 +79,9 @@ func NewCoarray[T any](img *Image, t *Team, n int) *Coarray[T] {
 	}
 	// Allocation is collective: synchronize before anyone touches it.
 	// The barrier is also a race-detector fence over the team.
-	done := img.collBracket("barrier", t, true, true)
+	b := img.collBracket("coll:barrier", t, true, true)
 	img.m.comm.Barrier(img.proc, st.kern, t)
-	done()
+	b.end()
 	return ca
 }
 

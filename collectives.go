@@ -157,7 +157,7 @@ func (img *Image) wrap(h *collect.Handle, kind string, class core.OpClass, o col
 	}
 	if implicit {
 		if class != 0 {
-			op := img.ct.Register(class, func() {})
+			op := img.tracker().Register(class, core.InitFunc(func() {}))
 			h.OnLocalData(op.CompleteLocalData)
 			if cs != nil && acq {
 				img.raceOps = append(img.raceOps, raceOp{op: op, class: class, clkRef: &cs.clk})
@@ -353,80 +353,80 @@ func (img *Image) SortAsync(t *Team, keys []int64, opts ...CollOpt) *Collective 
 // member's pre-barrier activity.
 func (img *Image) Barrier(t *Team) {
 	t = img.resolveTeam(t)
-	done := img.collBracket("barrier", t, true, true)
+	b := img.collBracket("coll:barrier", t, true, true)
 	img.m.comm.Barrier(img.proc, img.st.kern, t)
-	done()
+	b.end()
 }
 
 // Broadcast distributes val (bytes wide) from team rank root.
 func (img *Image) Broadcast(t *Team, root int, val any, bytes int) any {
 	t = img.resolveTeam(t)
-	done := img.collBracket("broadcast", t, t.MustRank(img.Rank()) == root, true)
+	b := img.collBracket("coll:broadcast", t, t.MustRank(img.Rank()) == root, true)
 	out := img.m.comm.Broadcast(img.proc, img.st.kern, t, root, val, bytes)
-	done()
+	b.end()
 	return out
 }
 
 // Reduce folds vec to the root (result nil elsewhere).
 func (img *Image) Reduce(t *Team, root int, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
-	done := img.collBracket("reduce", t, true, t.MustRank(img.Rank()) == root)
+	b := img.collBracket("coll:reduce", t, true, t.MustRank(img.Rank()) == root)
 	out := img.m.comm.Reduce(img.proc, img.st.kern, t, root, op, vec)
-	done()
+	b.end()
 	return out
 }
 
 // Allreduce folds vec across t, returning the result everywhere.
 func (img *Image) Allreduce(t *Team, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
-	done := img.collBracket("allreduce", t, true, true)
+	b := img.collBracket("coll:allreduce", t, true, true)
 	out := img.m.comm.Allreduce(img.proc, img.st.kern, t, op, vec)
-	done()
+	b.end()
 	return out
 }
 
 // Gather collects each member's val at the root.
 func (img *Image) Gather(t *Team, root int, val any, bytes int) []any {
 	t = img.resolveTeam(t)
-	done := img.collBracket("gather", t, true, t.MustRank(img.Rank()) == root)
+	b := img.collBracket("coll:gather", t, true, t.MustRank(img.Rank()) == root)
 	out := img.m.comm.Gather(img.proc, img.st.kern, t, root, val, bytes)
-	done()
+	b.end()
 	return out
 }
 
 // Scatter distributes vals (one per team rank) from the root.
 func (img *Image) Scatter(t *Team, root int, vals []any, bytes int) any {
 	t = img.resolveTeam(t)
-	done := img.collBracket("scatter", t, t.MustRank(img.Rank()) == root, true)
+	b := img.collBracket("coll:scatter", t, t.MustRank(img.Rank()) == root, true)
 	out := img.m.comm.Scatter(img.proc, img.st.kern, t, root, vals, bytes)
-	done()
+	b.end()
 	return out
 }
 
 // Alltoall exchanges vals pairwise.
 func (img *Image) Alltoall(t *Team, vals []any, bytes int) []any {
 	t = img.resolveTeam(t)
-	done := img.collBracket("alltoall", t, true, true)
+	b := img.collBracket("coll:alltoall", t, true, true)
 	out := img.m.comm.Alltoall(img.proc, img.st.kern, t, vals, bytes)
-	done()
+	b.end()
 	return out
 }
 
 // Scan returns the inclusive prefix reduction in team-rank order.
 func (img *Image) Scan(t *Team, op ReduceOp, vec []int64) []int64 {
 	t = img.resolveTeam(t)
-	done := img.collBracket("scan", t, true, true)
+	b := img.collBracket("coll:scan", t, true, true)
 	out := img.m.comm.Scan(img.proc, img.st.kern, t, op, vec)
-	done()
+	b.end()
 	return out
 }
 
 // SortKeys globally sorts the members' keys.
 func (img *Image) SortKeys(t *Team, keys []int64) []int64 {
 	t = img.resolveTeam(t)
-	done := img.collBracket("sort", t, true, true)
+	b := img.collBracket("coll:sort", t, true, true)
 	out := img.m.comm.Sort(img.proc, img.st.kern, t, keys)
-	done()
+	b.end()
 	return out
 }
 

@@ -34,37 +34,6 @@ func SrcEvent(e *Event) CopyOpt { return func(o *copyOpts) { o.srcE = e } }
 // to the destination (copy_async's destE).
 func DestEvent(e *Event) CopyOpt { return func(o *copyOpts) { o.destE = e } }
 
-// copyPutMsg carries copy data to the destination image.
-type copyPutMsg struct {
-	data      any
-	write     func(data any)
-	onWritten func() // runs on the destination image after the write
-	destE     *Event
-	op        *Op // completion handle (nil = untracked internal hop)
-
-	// Race-detector plumbing (nil/zero when off): wclk is the op's write
-	// clock at send; recordW registers the destination access under the
-	// channel-joined effective clock the delivery computes.
-	wclk    race.Clock
-	recordW func(clk race.Clock)
-}
-
-// copyReadMsg asks the source image to read a section and forward it.
-type copyReadMsg struct {
-	read    func() any
-	dstRank int
-	bytes   int
-	class   fabric.Class
-	track   any // base finish ref for the data hop
-	srcE    *Event
-	ptag    path.Tag // request tag for the forwarded data hop
-	put     copyPutMsg
-
-	// rclk is the op's read clock; recordR registers the source access.
-	rclk    race.Clock
-	recordR func(clk race.Clock)
-}
-
 // chainMsg registers a predicate continuation on a remote event's owner.
 type chainMsg struct {
 	e          *Event
@@ -77,6 +46,52 @@ type chainMsg struct {
 type resumeMsg struct {
 	fn  func(clk race.Clock)
 	clk race.Clock
+}
+
+// copyOp is one CopyAsync: the state of every stage, the completion
+// handle, the delivery token and the data in flight, in one heap record.
+// It travels as the payload of the copy's messages and is the sender-side
+// completion of the message the initiator sends, so its methods are the
+// stages: start (initiation), Injected and the embedded opMessage's
+// Delivered/Abandoned (the initiator's completion callbacks), serveGet
+// (the source's owner reading, for a get or a third-party copy) and land
+// (the destination write).
+type copyOp[T any] struct {
+	img      *Image
+	dst, src Sec[T]
+	opts     copyOpts
+	// The completion handle CopyAsync returns and the remote update's
+	// delivery token; the ack (or abandonment) of the message the
+	// initiator sends completes them.
+	opMessage
+	me       int  // initiator's world rank
+	dstRank  int  // the image the data lands on
+	srcLocal bool // source on the initiator
+	dstLocal bool // destination on the initiator
+	implicit bool // no completion events: cofence and finish see it
+	bytes    int
+	class    fabric.Class
+	track    any   // enclosing finish context (implicit copies only)
+	tid      int64 // enclosing finish id for the race detector (0 = none)
+
+	// Cofence bookkeeping (implicit copies touching initiator-local
+	// data): the registration and how many local buffers it still owes.
+	pending *core.PendingOp // &cofence once registered
+	cofence core.PendingOp
+	signals int
+	// ldLeft counts the local buffers the completion handle's local-data
+	// level still waits for, independent of the cofence signals.
+	ldLeft int
+
+	// Race detector state (nil/-1 when off): the initiator's call-point
+	// snapshot, the consumed predicate post's clock, the op's read and
+	// write clocks with their component ids, and the clock of the
+	// initiator-local access that cofence orders.
+	base, predClk, rclk, wclk, localClk race.Clock
+	rid, wid                            int
+
+	relSrc, relDst func() // conflict-detection claims
+	data           []T    // the snapshot in flight to the destination
 }
 
 // CopyAsync initiates a one-sided asynchronous copy from src to dst
@@ -98,9 +113,9 @@ type resumeMsg struct {
 // continuations on its levels (or put it in a PollSet) instead of — or
 // alongside — event-based completion. Discarding it is always safe.
 func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
-	var o copyOpts
+	c := &copyOp[T]{img: img, dst: dst, src: src, rid: -1, wid: -1}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c.opts)
 	}
 	if dst.Len() != src.Len() {
 		panic(fmt.Sprintf("caf: copy length mismatch: dst %d, src %d", dst.Len(), src.Len()))
@@ -109,27 +124,30 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	st.copies++
 	img.traceInstant("copy_async", "copy")
 	me := img.Rank()
-	srcLocal := src.isLocalBuf() || src.rank == me
-	dstLocal := dst.isLocalBuf() || dst.rank == me
-	implicit := o.srcE == nil && o.destE == nil
-	bytes := src.Len()*src.elemBytes() + 16
-	class := classForBytes(img.m, bytes)
+	c.me = me
+	c.srcLocal = src.isLocalBuf() || src.rank == me
+	c.dstLocal = dst.isLocalBuf() || dst.rank == me
+	c.implicit = c.opts.srcE == nil && c.opts.destE == nil
+	c.bytes = src.Len()*src.elemBytes() + 16
+	c.class = classForBytes(img.m, c.bytes)
+	c.dstRank = me
+	if !c.dstLocal {
+		c.dstRank = dst.rank
+	}
 
 	// Lifecycle tracking: the op's peer is the remote side (the
 	// destination for puts and third-party copies, the source for gets).
 	peer := me
-	if !dstLocal {
+	if !c.dstLocal {
 		peer = dst.rank
-	} else if !srcLocal {
+	} else if !c.srcLocal {
 		peer = src.rank
 	}
-	oph := img.opNew("copy", peer)
+	img.opInit(&c.op, "copy", peer)
 
-	var track any
-	var tid int64
-	if implicit {
-		track = img.track()
-		tid = img.trackID()
+	if c.implicit {
+		c.track = img.track()
+		c.tid = img.trackID()
 	}
 
 	// Race detector: the op runs under its own clock components — a read
@@ -139,266 +157,197 @@ func CopyAsync[T any](img *Image, dst, src Sec[T], opts ...CopyOpt) *Op {
 	// The initiator is NOT ordered after the op's accesses until some
 	// synchronization construct (cofence, finish, event) says so.
 	rs := img.m.race
-	var base, predClk, rclk, wclk, localClk race.Clock
-	rid, wid := -1, -1
 	if rs != nil && img.rc != nil {
-		base = img.rc.Snapshot()
+		c.base = img.rc.Snapshot()
 	}
 
-	// Cofence bookkeeping: how the op touches the initiator's local data.
-	var class2 core.OpClass
-	if srcLocal {
-		class2 |= core.OpReads
+	// Cofence bookkeeping: how the op touches the initiator's local data,
+	// with one cofence signal and one local-data tick per local buffer.
+	var class core.OpClass
+	if c.srcLocal {
+		class |= core.OpReads
+		c.signals++
+		c.ldLeft++
 	}
-	if dstLocal {
-		class2 |= core.OpWrites
-	}
-	var op *core.PendingOp
-	signals := 0
-	if srcLocal {
-		signals++
-	}
-	if dstLocal {
-		signals++
-	}
-	signal := func() {
-		signals--
-		if signals == 0 && op != nil {
-			op.CompleteLocalData()
-		}
+	if c.dstLocal {
+		class |= core.OpWrites
+		c.signals++
+		c.ldLeft++
 	}
 
-	// Completion-handle local-data countdown, independent of the cofence
-	// signals above (those exist only for implicit ops): one tick per
-	// local buffer, advanced when the last becomes reusable/readable.
-	ldLeft := 0
-	if srcLocal {
-		ldLeft++
-	}
-	if dstLocal {
-		ldLeft++
-	}
-	ldSignal := func() {
-		ldLeft--
-		if ldLeft == 0 {
-			img.m.opStageAt(oph, me, trace.StageLocalData)
-		}
-	}
-
-	var onWritten func()
-	if dstLocal {
-		prev := signal
-		if !implicit {
-			prev = nil
-		}
-		onWritten = func() {
-			ldSignal()
-			if prev != nil {
-				prev()
-			}
-		}
-	}
-
-	// forkOpClocks runs at actual initiation (the predicate may defer
-	// it): the read clock forks from the initiator's call-point snapshot
-	// joined with the consumed predicate post's clock; the write clock
-	// forks from the read clock (the write follows the read). The
-	// enclosing finish eagerly joins the op's clocks — its exit cannot
-	// happen before the op globally completes.
-	forkOpClocks := func() {
-		if rs == nil || img.rc == nil {
-			return
-		}
-		b := base
-		if predClk != nil {
-			b = race.Join(race.CopyClock(base), predClk)
-		}
-		rclk, rid = rs.d.OpClock(b)
-		wclk, wid = rs.d.OpClock(rclk)
-		if dstLocal {
-			localClk = wclk
-		} else {
-			localClk = rclk
-		}
-		if tid != 0 {
-			fs := rs.finishSyncFor(tid)
-			race.JoinInto(&fs.ops, wclk)
-		}
-	}
-
-	var start func()
-	if srcLocal {
-		dstRank := me
-		if !dstLocal {
-			dstRank = dst.rank
-		}
-		start = func() {
-			forkOpClocks()
-			img.m.opStageAt(oph, me, trace.StageInit)
-			relSrc := claimSec(img.m, src, false, "copy_async read")
-			raceRecord(img.m, src, false, rid, rclk, "copy_async read")
-			data := src.read() // snapshot at initiation
-			relSrc()
-			relDst := claimSec(img.m, dst, true, "copy_async write")
-			tok := st.newDelivToken(wclk)
-			put := &copyPutMsg{
-				data: data,
-				write: func(d any) {
-					dst.write(d.([]T))
-					relDst()
-				},
-				onWritten: onWritten,
-				destE:     o.destE,
-				op:        oph,
-				wclk:      wclk,
-			}
-			if rs != nil && dst.ca != nil {
-				m, wid := img.m, wid
-				put.recordW = func(clk race.Clock) {
-					raceRecord(m, dst, true, wid, clk, "copy_async write")
-				}
-			}
-			m := img.m
-			sendOpts := rt.SendOpts{
-				Track: track,
-				Class: class,
-				Bytes: bytes,
-				Path:  path.WireTag(oph.pctx),
-				OnDelivered: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					tok.complete()
-				},
-				// An abandoned put (dead destination) completes its
-				// token: the loss is charged to the enclosing finish,
-				// and notifies must not be gated on it forever. The op
-				// will never complete remotely; close out its record so
-				// blocked-time attribution still sees it.
-				OnAbandoned: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					m.opStageAt(oph, me, trace.StageGlobal)
-					tok.complete()
-				},
-			}
-			srcE := o.srcE
-			sendOpts.OnInjected = func() {
-				// Source buffer reusable: data is on the wire.
-				ldSignal()
-				if implicit {
-					signal()
-				}
-				if srcE != nil {
-					img.m.notifyFrom(me, srcE, rclk)
-				}
-			}
-			st.kern.Send(dstRank, tagCopyPut, put, sendOpts)
-		}
-	} else {
-		// Source is remote: ask its owner to read and forward (a get
-		// when the destination is here, a third-party copy otherwise).
-		dstRank := me
-		if !dstLocal {
-			dstRank = dst.rank
-		}
-		var baseTrack any
-		if track != nil {
-			baseTrack = core.Ref{ID: track.(core.Ref).ID}
-		}
-		start = func() {
-			forkOpClocks()
-			img.m.opStageAt(oph, me, trace.StageInit)
-			if ldLeft == 0 {
-				// Third-party copy: no initiator-local buffers, so local
-				// data completes at initiation.
-				img.m.opStageAt(oph, me, trace.StageLocalData)
-			}
-			relSrc := claimSec(img.m, src, false, "copy_async read")
-			relDst := claimSec(img.m, dst, true, "copy_async write")
-			// The notify token completes when the read request lands —
-			// the read has happened then, the data hop has not, so only
-			// the read clock is released to event waiters.
-			tok := st.newDelivToken(rclk)
-			msg := &copyReadMsg{
-				read: func() any {
-					v := src.read()
-					relSrc()
-					return v
-				},
-				dstRank: dstRank,
-				bytes:   bytes,
-				class:   class,
-				track:   baseTrack,
-				srcE:    o.srcE,
-				ptag:    path.WireTag(oph.pctx),
-				rclk:    rclk,
-				put: copyPutMsg{
-					write: func(d any) {
-						dst.write(d.([]T))
-						relDst()
-					},
-					onWritten: onWritten,
-					destE:     o.destE,
-					op:        oph,
-					wclk:      wclk,
-				},
-			}
-			if rs != nil {
-				m := img.m
-				if src.ca != nil {
-					rid := rid
-					msg.recordR = func(clk race.Clock) {
-						raceRecord(m, src, false, rid, clk, "copy_async read")
-					}
-				}
-				if dst.ca != nil {
-					wid := wid
-					msg.put.recordW = func(clk race.Clock) {
-						raceRecord(m, dst, true, wid, clk, "copy_async write")
-					}
-				}
-			}
-			m := img.m
-			reqOpts := rt.SendOpts{
-				Track: track,
-				Class: fabric.AMShort,
-				Bytes: 32,
-				Path:  path.WireTag(oph.pctx),
-				OnDelivered: func() {
-					// Read request accepted at the source: nothing more is
-					// required of the initiator.
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					tok.complete()
-				},
-				// A get request abandoned at a dead owner completes the
-				// token, like the put path above.
-				OnAbandoned: func() {
-					m.opStageAt(oph, me, trace.StageLocalOp)
-					m.opStageAt(oph, me, trace.StageGlobal)
-					tok.complete()
-				},
-			}
-			st.kern.Send(src.rank, tagCopyGetReq, msg, reqOpts)
-		}
-	}
-
-	initiate := start
-	if o.pred != nil {
-		initiate = func() {
-			img.m.gatePredicate(me, o.pred, func(clk race.Clock) {
-				predClk = clk
-				start()
-			})
-		}
-	}
-
-	if implicit && class2 != 0 {
-		op = img.ct.Register(class2, initiate)
+	if c.implicit && class != 0 {
+		img.tracker().Add(&c.cofence, class, c)
+		c.pending = &c.cofence
 		if rs != nil {
-			img.raceOps = append(img.raceOps, raceOp{op: op, class: class2, clkRef: &localClk})
+			img.raceOps = append(img.raceOps, raceOp{op: c.pending, class: class, clkRef: &c.localClk})
 		}
 	} else {
-		initiate()
+		c.Initiate()
 	}
-	return oph
+	return &c.op
+}
+
+// Initiate starts the copy, once the predicate event (if any) has a post
+// available. Cofence registration defers it in relaxed mode.
+func (c *copyOp[T]) Initiate() {
+	if c.opts.pred == nil {
+		c.start()
+		return
+	}
+	c.img.m.gatePredicate(c.me, c.opts.pred, func(clk race.Clock) {
+		c.predClk = clk
+		c.start()
+	})
+}
+
+// forkOpClocks runs at actual initiation (the predicate may defer it):
+// the read clock forks from the initiator's call-point snapshot joined
+// with the consumed predicate post's clock; the write clock forks from
+// the read clock (the write follows the read). The enclosing finish
+// eagerly joins the op's clocks — its exit cannot happen before the op
+// globally completes.
+func (c *copyOp[T]) forkOpClocks() {
+	rs := c.img.m.race
+	if rs == nil || c.img.rc == nil {
+		return
+	}
+	b := c.base
+	if c.predClk != nil {
+		b = race.Join(race.CopyClock(c.base), c.predClk)
+	}
+	c.rclk, c.rid = rs.d.OpClock(b)
+	c.wclk, c.wid = rs.d.OpClock(c.rclk)
+	if c.dstLocal {
+		c.localClk = c.wclk
+	} else {
+		c.localClk = c.rclk
+	}
+	if c.tid != 0 {
+		fs := rs.finishSyncFor(c.tid)
+		race.JoinInto(&fs.ops, c.wclk)
+	}
+}
+
+// start initiates the copy: a put when the source is here (the data goes
+// out now), otherwise a request asking the source's owner to read and
+// forward (a get when the destination is here, a third-party copy
+// otherwise).
+func (c *copyOp[T]) start() {
+	m, st := c.img.m, c.img.st
+	c.forkOpClocks()
+	m.opStageAt(&c.op, c.me, trace.StageInit)
+	if c.srcLocal {
+		relSrc := claimSec(m, c.src, false, "copy_async read")
+		raceRecord(m, c.src, false, c.rid, c.rclk, "copy_async read")
+		c.data = c.src.read() // snapshot at initiation
+		relSrc()
+		c.relDst = claimSec(m, c.dst, true, "copy_async write")
+		st.addDelivToken(&c.tok, c.wclk)
+		st.kern.Send(c.dstRank, tagCopyPut, c, rt.SendOpts{
+			Track:          c.track,
+			Done:           c,
+			NotifyInjected: true,
+			Class:          c.class,
+			Bytes:          c.bytes,
+			Path:           path.WireTag(c.op.pctx),
+		})
+		return
+	}
+	if c.ldLeft == 0 {
+		// Third-party copy: no initiator-local buffers, so local data
+		// completes at initiation.
+		m.opStageAt(&c.op, c.me, trace.StageLocalData)
+	}
+	c.relSrc = claimSec(m, c.src, false, "copy_async read")
+	c.relDst = claimSec(m, c.dst, true, "copy_async write")
+	// The notify token completes when the read request lands — the read
+	// has happened then, the data hop has not, so only the read clock is
+	// released to event waiters.
+	st.addDelivToken(&c.tok, c.rclk)
+	st.kern.Send(c.src.rank, tagCopyGetReq, c, rt.SendOpts{
+		Track: c.track,
+		Done:  c,
+		Class: fabric.AMShort,
+		Bytes: 32,
+		Path:  path.WireTag(c.op.pctx),
+	})
+}
+
+// Injected runs when the put's data is on the wire: the source buffer is
+// reusable.
+func (c *copyOp[T]) Injected() {
+	c.localDone()
+	if c.opts.srcE != nil {
+		c.img.m.notifyFrom(c.me, c.opts.srcE, c.rclk)
+	}
+}
+
+// localDone retires one initiator-local buffer: the handle's local data
+// level when the last one is free, and the cofence signal of an implicit
+// copy.
+func (c *copyOp[T]) localDone() {
+	c.ldLeft--
+	if c.ldLeft == 0 {
+		c.img.m.opStageAt(&c.op, c.me, trace.StageLocalData)
+	}
+	if c.implicit {
+		c.signals--
+		if c.signals == 0 && c.pending != nil {
+			c.pending.CompleteLocalData()
+		}
+	}
+}
+
+// copyHop is a copy as its message handlers see it.
+type copyHop interface {
+	serveGet(m *Machine, d *rt.Delivery)
+	land(m *Machine, d *rt.Delivery)
+}
+
+func (m *Machine) handleCopyPut(d *rt.Delivery) { d.Payload.(copyHop).land(m, d) }
+
+func (m *Machine) handleCopyGetReq(d *rt.Delivery) { d.Payload.(copyHop).serveGet(m, d) }
+
+// serveGet runs on the source's owner: read the section and forward it
+// to the destination.
+func (c *copyOp[T]) serveGet(m *Machine, d *rt.Delivery) {
+	here := d.Img.Rank()
+	eff := m.raceChanArrive(d.Src, here, c.rclk)
+	c.data = c.src.read()
+	c.relSrc()
+	raceRecord(m, c.src, false, c.rid, eff, "copy_async read")
+	if c.opts.srcE != nil {
+		// Source read complete: the source buffer may be overwritten.
+		m.notifyFrom(here, c.opts.srcE, eff)
+	}
+	// The data hop is tracked by the enclosing finish too: c.track is its
+	// unstamped context, the same one the request carried.
+	m.states[here].kern.Send(c.dstRank, tagCopyPut, c, rt.SendOpts{
+		Track: c.track,
+		Class: c.class,
+		Bytes: c.bytes,
+		Path:  path.WireTag(c.op.pctx),
+	})
+}
+
+// land runs on the destination: apply the write. The data is on the
+// destination now, so the copy is complete everywhere.
+func (c *copyOp[T]) land(m *Machine, d *rt.Delivery) {
+	here := d.Img.Rank()
+	// FIFO channel edge: this delivery is ordered after every earlier
+	// delivery on the same (src, dst) channel.
+	eff := m.raceChanArrive(d.Src, here, c.wclk)
+	c.dst.write(c.data)
+	c.data = nil
+	c.relDst()
+	raceRecord(m, c.dst, true, c.wid, eff, "copy_async write")
+	if c.dstLocal {
+		c.localDone()
+	}
+	m.opStageAt(&c.op, here, trace.StageGlobal)
+	if c.opts.destE != nil {
+		m.notifyFrom(here, c.opts.destE, eff)
+	}
 }
 
 // gatePredicate runs fn once e has a post available, routing through e's
@@ -423,48 +372,6 @@ func (m *Machine) eventClock(e *Event) race.Clock {
 		return nil
 	}
 	return race.CopyClock(m.eventState(e).rclk)
-}
-
-func (m *Machine) handleCopyPut(d *rt.Delivery) {
-	msg := d.Payload.(*copyPutMsg)
-	here := d.Img.Rank()
-	// FIFO channel edge: this delivery is ordered after every earlier
-	// delivery on the same (src, dst) channel.
-	eff := m.raceChanArrive(d.Src, here, msg.wclk)
-	msg.write(msg.data)
-	if msg.recordW != nil {
-		msg.recordW(eff)
-	}
-	if msg.onWritten != nil {
-		msg.onWritten()
-	}
-	// Data applied at the destination: the copy is complete everywhere.
-	m.opStageAt(msg.op, here, trace.StageGlobal)
-	if msg.destE != nil {
-		m.notifyFrom(here, msg.destE, eff)
-	}
-}
-
-func (m *Machine) handleCopyGetReq(d *rt.Delivery) {
-	msg := d.Payload.(*copyReadMsg)
-	here := d.Img.Rank()
-	eff := m.raceChanArrive(d.Src, here, msg.rclk)
-	data := msg.read()
-	if msg.recordR != nil {
-		msg.recordR(eff)
-	}
-	if msg.srcE != nil {
-		// Source read complete: the source buffer may be overwritten.
-		m.notifyFrom(here, msg.srcE, eff)
-	}
-	put := msg.put
-	put.data = data
-	m.states[here].kern.Send(msg.dstRank, tagCopyPut, &put, rt.SendOpts{
-		Track: msg.track,
-		Class: msg.class,
-		Bytes: msg.bytes,
-		Path:  msg.ptag,
-	})
 }
 
 func (m *Machine) handleEventNotify(d *rt.Delivery) {

@@ -162,7 +162,7 @@ func (img *Image) EventNotify(e *Event) *Op {
 	// Release boundary: deferred initiations must actually start, and
 	// buffered coalesced messages must be on the wire before the notify —
 	// a waiter must observe their effects.
-	img.ct.Flush()
+	img.flushImplicit()
 	img.st.kern.FlushCoalesced()
 	from := img.Rank()
 	oph := img.opNew("notify", e.owner)
@@ -192,7 +192,7 @@ func (img *Image) EventWait(e *Event) {
 	}
 	// Acquire is a synchronization point for deferred initiations and
 	// for this image's coalescing buffers.
-	img.ct.Flush()
+	img.flushImplicit()
 	img.st.kern.FlushCoalesced()
 	start := img.Now()
 	btok := img.beginBlock("event_wait")

@@ -122,3 +122,32 @@ func TestEventCallbackReentrantPost(t *testing.T) {
 		}
 	})
 }
+
+// TestDeliveryTokensBoundedWithoutNotify: every CopyAsync registers a
+// delivery token for EventNotify's porousness. A program that never
+// notifies must not keep one token — and with it the copy's record —
+// per copy ever made: the list holds the updates in flight, not the
+// run's history.
+func TestDeliveryTokensBoundedWithoutNotify(t *testing.T) {
+	const copies = 1000
+	var m *Machine
+	m = NewMachine(Config{Images: 2, Seed: 1})
+	m.Launch(func(img *Image) {
+		ca := NewCoarray[float64](img, nil, 4)
+		if img.Rank() == 0 {
+			for i := 0; i < copies; i++ {
+				CopyAsync(img, ca.Sec(1, 0, 4), ca.Sec(0, 0, 4))
+				img.Cofence(AllowNone, AllowNone)
+			}
+		}
+		img.Barrier(nil)
+	})
+	if _, err := m.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	// Cofence waits for injection only, so up to a credit window of
+	// copies is in flight at once; the list may hold that many.
+	if n := cap(m.states[0].pendingDeliv); n > copies/4 {
+		t.Errorf("token list grew to %d slots over %d copies", n, copies)
+	}
+}

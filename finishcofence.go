@@ -39,7 +39,7 @@ func (img *Image) Finish(t *Team, body func()) int {
 	// initiations must start or termination detection would wait on
 	// operations that never launch, and coalescing buffers must drain so
 	// detection isn't gated on a flush timer.
-	img.ct.Flush()
+	img.flushImplicit()
 	img.st.kern.FlushCoalesced()
 	// Race-detector release: each member contributes its end-of-body
 	// clock; detection cannot signal termination before every member
@@ -111,7 +111,7 @@ func (img *Image) Cofence(down, up Allow) {
 	// must hit the wire before we wait on their completion.
 	img.st.kern.FlushCoalesced()
 	btok := img.beginBlock("cofence")
-	img.ct.Cofence(img.proc, down, up)
+	img.tracker().Cofence(img.proc, down, up)
 	img.endBlock(btok)
 	// Race-detector acquire: the fence ordered this context after the
 	// local data completion of every implicit op the DOWNWARD filter did
@@ -155,7 +155,7 @@ func (img *Image) CofenceOp(down Allow) *Op {
 	img.st.kern.FlushCoalesced()
 	oph := img.opNew("cofence", -1)
 	img.opStage(oph, trace.StageInit)
-	ops := img.ct.Constrained(down)
+	ops := img.tracker().Constrained(down)
 	m, me := img.m, img.Rank()
 	left := len(ops)
 	fire := func() {
@@ -182,4 +182,4 @@ func (img *Image) CofenceOp(down Allow) *Op {
 // PendingImplicitOps reports how many implicitly-synchronized operations
 // initiated by this image have not yet reached local data completion
 // (diagnostic).
-func (img *Image) PendingImplicitOps() int { return img.ct.Pending() }
+func (img *Image) PendingImplicitOps() int { return img.tracker().Pending() }

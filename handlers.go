@@ -1,6 +1,9 @@
 package caf
 
-import "caf2go/internal/race"
+import (
+	"caf2go/internal/race"
+	"caf2go/internal/trace"
+)
 
 // Fabric tag allocation for the caf runtime layer. internal/collect owns
 // tag 100; everything else lives here.
@@ -56,11 +59,63 @@ func (t *delivToken) complete() {
 	}
 }
 
-// newDelivToken registers an outstanding remote update on the image.
-func (st *imageState) newDelivToken(clk race.Clock) *delivToken {
-	t := &delivToken{clk: clk}
+// addDelivToken registers an outstanding remote update on the image,
+// with the clock covering its effects. The token lives in the
+// operation's own record. Completed tokens are swept out whenever the
+// list is full, and the list only grows when a sweep frees less than
+// half of it, so it is bounded by the updates in flight rather than
+// growing until the next EventNotify prunes it.
+func (st *imageState) addDelivToken(t *delivToken, clk race.Clock) {
+	t.clk = clk
+	if n := len(st.pendingDeliv); n > 0 && n == cap(st.pendingDeliv) {
+		st.pendingDeliv = liveTokens(st.pendingDeliv)
+		if len(st.pendingDeliv) > n/2 {
+			st.pendingDeliv = append(make([]*delivToken, 0, 2*n), st.pendingDeliv...)
+		}
+	}
 	st.pendingDeliv = append(st.pendingDeliv, t)
-	return t
+}
+
+// liveTokens compacts ts in place to its not-yet-delivered tokens,
+// keeping their order and clearing the vacated slots.
+func liveTokens(ts []*delivToken) []*delivToken {
+	live := ts[:0]
+	for _, t := range ts {
+		if !t.done {
+			live = append(live, t)
+		}
+	}
+	for i := len(live); i < len(ts); i++ {
+		ts[i] = nil
+	}
+	return live
+}
+
+// opMessage is the initiator's side of an operation carried by one
+// message: its completion handle and its delivery token, embedded in the
+// operation's record so that the operation costs one allocation. It is
+// that message's completion. The ack is the op's local completion. An
+// abandoned message (dead destination) completes the token too, so that
+// an EventNotify does not wait forever on a delivery the fabric has
+// charged off, and closes the op, whose remote side will never run, so
+// that blocked-time attribution still sees it.
+type opMessage struct {
+	op  Op
+	tok delivToken
+}
+
+func (o *opMessage) Injected() {}
+
+func (o *opMessage) Delivered() {
+	o.op.m.opStageAt(&o.op, o.op.img, trace.StageLocalOp)
+	o.tok.complete()
+}
+
+func (o *opMessage) Abandoned() {
+	m := o.op.m
+	m.opStageAt(&o.op, o.op.img, trace.StageLocalOp)
+	m.opStageAt(&o.op, o.op.img, trace.StageGlobal)
+	o.tok.complete()
 }
 
 // afterOutstandingDeliveries runs fn once every remote update outstanding
@@ -69,20 +124,12 @@ func (st *imageState) newDelivToken(clk race.Clock) *delivToken {
 // delay fn — exactly the porousness EventNotify needs.
 func (m *Machine) afterOutstandingDeliveries(st *imageState, fn func(clk race.Clock)) {
 	// Prune finished tokens while collecting the live ones.
-	live := st.pendingDeliv[:0]
-	var waitFor []*delivToken
+	st.pendingDeliv = liveTokens(st.pendingDeliv)
+	waitFor := append([]*delivToken(nil), st.pendingDeliv...)
 	var clk race.Clock
-	for _, t := range st.pendingDeliv {
-		if !t.done {
-			live = append(live, t)
-			waitFor = append(waitFor, t)
-			clk = race.Join(clk, t.clk)
-		}
+	for _, t := range waitFor {
+		clk = race.Join(clk, t.clk)
 	}
-	for i := len(live); i < len(st.pendingDeliv); i++ {
-		st.pendingDeliv[i] = nil
-	}
-	st.pendingDeliv = live
 	if len(waitFor) == 0 {
 		fn(nil)
 		return

@@ -153,6 +153,7 @@ type Handle struct {
 	ldCbs     []func()
 	loCbs     []func()
 	waiters   []*sim.Proc
+	waitBuf   [1]*sim.Proc // waiters' first backing array
 
 	result any
 }
@@ -209,7 +210,7 @@ func (h *Handle) WaitLocalData(p *sim.Proc) {
 // an idle detector perturbs nothing.
 func (h *Handle) WaitLocalDataErr(p *sim.Proc) bool {
 	det := h.img.Kernel().Detector()
-	h.waiters = append(h.waiters, p)
+	h.addWaiter(p)
 	p.WaitUntil("collective local data", func() bool { return h.localData || det.AnyDead() })
 	return h.localData
 }
@@ -218,11 +219,20 @@ func (h *Handle) WaitLocalDataErr(p *sim.Proc) bool {
 // WaitLocalData when a failure is declared first.
 func (h *Handle) WaitLocalOp(p *sim.Proc) {
 	det := h.img.Kernel().Detector()
-	h.waiters = append(h.waiters, p)
+	h.addWaiter(p)
 	p.WaitUntil("collective local op", func() bool { return h.localOp || det.AnyDead() })
 	if !h.localOp {
 		panic(failure.Abort{Err: det.ErrFor("collective")})
 	}
+}
+
+// addWaiter records a proc to wake at the next completion level. The
+// first waiter needs no allocation.
+func (h *Handle) addWaiter(p *sim.Proc) {
+	if h.waiters == nil {
+		h.waiters = h.waitBuf[:0]
+	}
+	h.waiters = append(h.waiters, p)
 }
 
 func (h *Handle) fireLocalData() {
@@ -257,13 +267,15 @@ func (h *Handle) fireLocalOp() {
 
 // inst is one image's state for one collective instance.
 type inst struct {
+	n     *node
 	key   instKey
 	t     *team.Team
 	op    Op
 	track any
 
 	started bool
-	h       *Handle
+	h       *Handle // &handle once started
+	handle  Handle
 
 	relRank  int
 	children []int
@@ -273,11 +285,11 @@ type inst struct {
 	vec      []int64
 	haveVec  bool
 	upKids   int // contributions still expected
-	kidData  map[int]any
 	dataIn   any // down-phase or scatter payload received
 	haveData bool
 
-	// per-rank payload funnels (gather/scan/sort/alltoall)
+	// per-rank payload funnels (gather/scan/sort/alltoall), made on
+	// first use: barriers, broadcasts and reductions never need one
 	byRank map[int]any // team-rank -> payload (accumulated at up nodes)
 	direct int         // alltoall receipts still expected
 
@@ -313,6 +325,12 @@ type node struct {
 	tree  Tree
 	seqs  map[instKey]uint64 // next seq per (team, kind, root); key.seq=0
 	insts map[instKey]*inst
+
+	// The children last computed, for (kidsRel, kidsSize): an image
+	// usually meets the same tree position in collective after
+	// collective, and the slice is only ever read.
+	kids              []int
+	kidsRel, kidsSize int
 }
 
 // Comm provides collectives over an rt.Kernel.
@@ -366,7 +384,7 @@ func (n *node) nextSeq(teamID int64, kd kind, root int) uint64 {
 func (n *node) get(key instKey, t *team.Team, track any) *inst {
 	in, ok := n.insts[key]
 	if !ok {
-		in = &inst{key: key, t: t, track: track, kidData: make(map[int]any), byRank: make(map[int]any)}
+		in = &inst{n: n, key: key, t: t, track: track}
 		in.relRank = relOf(t.MustRank(n.img.Rank()), key.root, t.Size())
 		in.children = n.childrenOf(in.relRank, t.Size())
 		in.nKids = len(in.children)
@@ -378,7 +396,16 @@ func (n *node) get(key instKey, t *team.Team, track any) *inst {
 }
 
 // childrenOf returns a relative rank's children under the node's tree.
+// The result is shared: callers must not modify it.
 func (n *node) childrenOf(rel, size int) []int {
+	if n.kids == nil || n.kidsRel != rel || n.kidsSize != size {
+		n.kids, n.kidsRel, n.kidsSize = n.computeChildren(rel, size), rel, size
+	}
+	return n.kids
+}
+
+// computeChildren lists a relative rank's children under the node's tree.
+func (n *node) computeChildren(rel, size int) []int {
 	if n.tree == Flat {
 		if rel != 0 {
 			return nil
@@ -456,6 +483,14 @@ func subtreeSize(r, size int) int {
 	return n
 }
 
+// setRank records team rank r's payload, making the map on first use.
+func (in *inst) setRank(r int, v any) {
+	if in.byRank == nil {
+		in.byRank = make(map[int]any)
+	}
+	in.byRank[r] = v
+}
+
 // onMsg processes one delivered tree message.
 func (n *node) onMsg(m *colMsg, track any) {
 	in := n.get(m.key, m.t, track)
@@ -473,7 +508,7 @@ func (n *node) onMsg(m *colMsg, track any) {
 		}
 		if m.data != nil {
 			for r, v := range m.data.(map[int]any) {
-				in.byRank[r] = v
+				in.setRank(r, v)
 			}
 		}
 		n.tryAdvanceUp(in)
@@ -486,7 +521,7 @@ func (n *node) onMsg(m *colMsg, track any) {
 		n.advanceDown(in)
 	case phaseDirect:
 		in.direct--
-		in.byRank[m.fromRel] = m.data
+		in.setRank(m.fromRel, m.data)
 		n.tryFinishDirect(in)
 	}
 }

@@ -11,38 +11,46 @@ import (
 
 const msgHeaderBytes = 16
 
-// sendTree dispatches one tree message, optionally watching injection
-// (source-buffer reuse) and delivery (pair-wise completion).
-func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needAck, needInject bool) {
+// sendTree dispatches one tree message. Every tree message is watched
+// to delivery (pair-wise completion); needInject also watches injection
+// (source-buffer reuse). The instance is the message's completion.
+func (n *node) sendTree(in *inst, dstTeamRank int, m *colMsg, needInject bool) {
 	m.key = in.key
 	m.t = in.t
 	m.op = in.op
 	m.elem = in.elemBytes
 	dst := in.t.WorldRank(dstTeamRank)
-	opts := rt.SendOpts{
-		Track: in.track,
-		Class: classFor(n.img.Kernel(), m.bytes),
-		Bytes: m.bytes,
+	in.acksPending++
+	if needInject {
+		in.injPending++
+	}
+	n.img.Send(dst, Tag, m, rt.SendOpts{
+		Track:          in.track,
+		Done:           in,
+		NotifyInjected: needInject,
+		Class:          classFor(n.img.Kernel(), m.bytes),
+		Bytes:          m.bytes,
 		// Collective tree messages sit on the critical path of barriers
 		// and finish termination rounds: never coalesce them.
 		NoCoalesce: true,
-	}
-	if needAck {
-		in.acksPending++
-		opts.OnDelivered = func() {
-			in.acksPending--
-			n.maybeFinish(in)
-		}
-	}
-	if needInject {
-		in.injPending++
-		opts.OnInjected = func() {
-			in.injPending--
-			n.checkLocalData(in)
-		}
-	}
-	n.img.Send(dst, Tag, m, opts)
+	})
 }
+
+// Injected releases one pinned send buffer of the instance.
+func (in *inst) Injected() {
+	in.injPending--
+	in.n.checkLocalData(in)
+}
+
+// Delivered counts one tree message's delivery ack.
+func (in *inst) Delivered() {
+	in.acksPending--
+	in.n.maybeFinish(in)
+}
+
+// Abandoned ignores a tree message the fabric gave up on: the collective
+// is then failed as a whole, through the failure detector.
+func (in *inst) Abandoned() {}
 
 // start begins this image's participation in a collective instance.
 func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
@@ -67,7 +75,8 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 	in.started = true
 	in.op = op
 	in.elemBytes = elemBytes
-	h := &Handle{img: img, kd: kd, inst: in}
+	in.handle = Handle{img: img, kd: kd, inst: in}
+	h := &in.handle
 	in.h = h
 
 	myTeamRank := t.MustRank(img.Rank())
@@ -87,7 +96,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 		in.contrib(op, vec)
 		n.tryAdvanceUp(in)
 	case kGather:
-		in.byRank[myTeamRank] = data
+		in.setRank(myTeamRank, data)
 		n.tryAdvanceUp(in)
 	case kScatter:
 		if in.relRank == 0 {
@@ -109,7 +118,7 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 		if len(vals) != t.Size() {
 			panic(fmt.Sprintf("collect: alltoall got %d values for team of %d", len(vals), t.Size()))
 		}
-		in.byRank[myTeamRank] = vals[myTeamRank]
+		in.setRank(myTeamRank, vals[myTeamRank])
 		for tr := 0; tr < t.Size(); tr++ {
 			if tr == myTeamRank {
 				continue
@@ -119,11 +128,11 @@ func (c *Comm) start(img *rt.ImageKernel, t *team.Team, kd kind, root int,
 				fromRel: myTeamRank,
 				data:    vals[tr],
 				bytes:   elemBytes + msgHeaderBytes,
-			}, true, true)
+			}, true)
 		}
 		n.tryFinishDirect(in)
 	case kScan, kSort:
-		in.byRank[myTeamRank] = append([]int64(nil), vec...)
+		in.setRank(myTeamRank, append([]int64(nil), vec...))
 		n.tryAdvanceUp(in)
 	default:
 		panic("collect: unknown kind")
@@ -158,14 +167,14 @@ func (n *node) tryAdvanceUp(in *inst) {
 	parent := absOf(n.parentOf(in.relRank), in.key.root, in.t.Size())
 	switch in.key.kd {
 	case kBarrier:
-		n.sendTree(in, parent, &colMsg{ph: phaseUp, bytes: msgHeaderBytes}, true, false)
+		n.sendTree(in, parent, &colMsg{ph: phaseUp, bytes: msgHeaderBytes}, false)
 	case kReduce, kAllreduce:
 		needInject := in.key.kd == kReduce // reduce: local data = contribution on the wire
 		n.sendTree(in, parent, &colMsg{
 			ph:    phaseUp,
 			vec:   in.vec,
 			bytes: 8*len(in.vec) + msgHeaderBytes,
-		}, true, needInject)
+		}, needInject)
 	case kGather, kScan, kSort:
 		bytes := msgHeaderBytes
 		for range in.byRank {
@@ -175,7 +184,7 @@ func (n *node) tryAdvanceUp(in *inst) {
 			ph:    phaseUp,
 			data:  copyRankMap(in.byRank),
 			bytes: bytes,
-		}, true, in.key.kd == kGather)
+		}, in.key.kd == kGather)
 	}
 	n.checkLocalData(in)
 }
@@ -255,7 +264,7 @@ func (n *node) forwardDown(in *inst) {
 			m.bytes += 8 * len(m.vec)
 		}
 		needInject := in.key.kd == kBcast && in.relRank == 0
-		n.sendTree(in, dst, m, true, needInject)
+		n.sendTree(in, dst, m, needInject)
 	}
 	in.downDone = true
 }
@@ -277,7 +286,7 @@ func (n *node) forwardBundles(in *inst, bundle map[int]any) {
 		}
 		dst := absOf(c, in.key.root, size)
 		needInject := in.relRank == 0 && in.key.kd == kScatter
-		n.sendTree(in, dst, &colMsg{ph: phaseDown, data: sub, bytes: bytes}, true, needInject)
+		n.sendTree(in, dst, &colMsg{ph: phaseDown, data: sub, bytes: bytes}, needInject)
 	}
 	in.downDone = true
 }
@@ -309,7 +318,7 @@ func (n *node) advanceDown(in *inst) {
 	case kScatter, kScan, kSort:
 		bundle := in.dataIn.(map[int]any)
 		my := in.t.MustRank(n.img.Rank())
-		in.byRank[my] = bundle[my]
+		in.setRank(my, bundle[my])
 		if in.started {
 			in.h.result = bundle[my]
 		}

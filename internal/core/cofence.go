@@ -120,10 +120,23 @@ func (op *PendingOp) CompleteLocalData() {
 	}
 }
 
+// Initiator starts an implicitly-synchronized operation. An operation
+// record implements it directly, so registering the record allocates no
+// closure; InitFunc adapts a plain func.
+type Initiator interface {
+	Initiate()
+}
+
+// InitFunc is a func used as an Initiator.
+type InitFunc func()
+
+// Initiate calls f.
+func (f InitFunc) Initiate() { f() }
+
 // delayedOp is an initiation the relaxed runtime has buffered.
 type delayedOp struct {
-	class    OpClass
-	initiate func()
+	class OpClass
+	init  Initiator
 }
 
 // CofenceTracker is the per-image registry of implicitly-synchronized
@@ -158,22 +171,29 @@ func (ct *CofenceTracker) Pending() int { return len(ct.pending) }
 func (ct *CofenceTracker) Delayed() int { return len(ct.delayed) }
 
 // Register records an implicitly-synchronized operation of the given
-// class and schedules its initiation. In eager mode initiate runs
+// class and schedules its initiation. In eager mode init runs
 // immediately; in relaxed mode it may be buffered. The returned PendingOp
 // must be marked via CompleteLocalData when the op's local buffers are
 // free.
-func (ct *CofenceTracker) Register(class OpClass, initiate func()) *PendingOp {
-	op := &PendingOp{class: class, ct: ct}
+func (ct *CofenceTracker) Register(class OpClass, init Initiator) *PendingOp {
+	op := &PendingOp{}
+	ct.Add(op, class, init)
+	return op
+}
+
+// Add is Register for an op that lives inside its operation's own
+// record: op must be a zero PendingOp, which Add fills in.
+func (ct *CofenceTracker) Add(op *PendingOp, class OpClass, init Initiator) {
+	*op = PendingOp{class: class, ct: ct}
 	ct.pending = append(ct.pending, op)
 	if ct.relaxed && ct.maxDelay > 0 {
-		ct.delayed = append(ct.delayed, delayedOp{class: class, initiate: initiate})
+		ct.delayed = append(ct.delayed, delayedOp{class: class, init: init})
 		if len(ct.delayed) > ct.maxDelay {
 			ct.flushDelayed(AllowNone)
 		}
 	} else {
-		initiate()
+		init.Initiate()
 	}
-	return op
 }
 
 // sweep drops completed ops from the pending list.
@@ -199,7 +219,7 @@ func (ct *CofenceTracker) flushDelayed(down Allow) {
 		if passes(d.class, down) {
 			keep = append(keep, d)
 		} else {
-			d.initiate()
+			d.init.Initiate()
 		}
 	}
 	for i := len(keep); i < len(ct.delayed); i++ {

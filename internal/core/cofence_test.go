@@ -51,7 +51,7 @@ func TestCofenceBlocksUntilLocalData(t *testing.T) {
 	var doneAt sim.Time
 	var op *PendingOp
 	eng.Go("main", func(p *sim.Proc) {
-		op = ct.Register(OpReads, func() {})
+		op = ct.Register(OpReads, InitFunc(func() {}))
 		ct.Cofence(p, AllowNone, AllowNone)
 		doneAt = p.Now()
 	})
@@ -74,8 +74,8 @@ func TestCofenceDownwardLetsClassPass(t *testing.T) {
 	ct := NewCofenceTracker(false, 0)
 	var fenceAt sim.Time
 	eng.Go("main", func(p *sim.Proc) {
-		readOp := ct.Register(OpReads, func() {})
-		ct.Register(OpWrites, func() {}) // never completed in this test
+		readOp := ct.Register(OpReads, InitFunc(func() {}))
+		ct.Register(OpWrites, InitFunc(func() {})) // never completed in this test
 		eng.At(10*sim.Microsecond, func() { readOp.CompleteLocalData() })
 		ct.Cofence(p, AllowWrite, AllowNone)
 		fenceAt = p.Now()
@@ -96,7 +96,7 @@ func TestCofenceMixedOpBlockedBySingleClassFence(t *testing.T) {
 	ct := NewCofenceTracker(false, 0)
 	var fenceAt sim.Time
 	eng.Go("main", func(p *sim.Proc) {
-		mixed := ct.Register(OpReads|OpWrites, func() {})
+		mixed := ct.Register(OpReads|OpWrites, InitFunc(func() {}))
 		eng.At(30*sim.Microsecond, func() { mixed.CompleteLocalData() })
 		ct.Cofence(p, AllowRead, AllowNone) // read-only passage: mixed op must block
 		fenceAt = p.Now()
@@ -114,8 +114,8 @@ func TestCofenceAllowAnyIsNoop(t *testing.T) {
 	ct := NewCofenceTracker(false, 0)
 	returned := false
 	eng.Go("main", func(p *sim.Proc) {
-		ct.Register(OpReads, func() {})
-		ct.Register(OpWrites, func() {})
+		ct.Register(OpReads, InitFunc(func() {}))
+		ct.Register(OpWrites, InitFunc(func() {}))
 		ct.Cofence(p, AllowAny, AllowAny)
 		returned = true
 	})
@@ -130,7 +130,7 @@ func TestCofenceAllowAnyIsNoop(t *testing.T) {
 func TestEagerModeInitiatesImmediately(t *testing.T) {
 	ct := NewCofenceTracker(false, 0)
 	ran := false
-	ct.Register(OpReads, func() { ran = true })
+	ct.Register(OpReads, InitFunc(func() { ran = true }))
 	if !ran {
 		t.Fatal("eager mode did not initiate")
 	}
@@ -144,7 +144,7 @@ func TestRelaxedModeBuffersAndFlushes(t *testing.T) {
 	order := []int{}
 	for i := 0; i < 3; i++ {
 		i := i
-		ct.Register(OpReads, func() { order = append(order, i) })
+		ct.Register(OpReads, InitFunc(func() { order = append(order, i) }))
 	}
 	if len(order) != 0 || ct.Delayed() != 3 {
 		t.Fatalf("relaxed mode initiated early: order=%v delayed=%d", order, ct.Delayed())
@@ -159,7 +159,7 @@ func TestRelaxedModeCapTriggersFlush(t *testing.T) {
 	ct := NewCofenceTracker(true, 2)
 	count := 0
 	for i := 0; i < 5; i++ {
-		ct.Register(OpWrites, func() { count++ })
+		ct.Register(OpWrites, InitFunc(func() { count++ }))
 	}
 	// Cap is 2: pushing a 3rd buffers then flushes all; by op 5 at least
 	// the first batch has initiated.
@@ -179,10 +179,10 @@ func TestCofenceFlushRespectsDownwardClass(t *testing.T) {
 	ct := NewCofenceTracker(true, 10)
 	readStarted, writeStarted := false, false
 	eng.Go("main", func(p *sim.Proc) {
-		rop := ct.Register(OpReads, func() {
+		rop := ct.Register(OpReads, InitFunc(func() {
 			readStarted = true
-		})
-		ct.Register(OpWrites, func() { writeStarted = true })
+		}))
+		ct.Register(OpWrites, InitFunc(func() { writeStarted = true }))
 		// Complete the read op as soon as it initiates so the fence can
 		// retire.
 		eng.At(1, func() {
@@ -208,7 +208,7 @@ func TestCofenceFlushRespectsDownwardClass(t *testing.T) {
 
 func TestCompleteLocalDataIdempotent(t *testing.T) {
 	ct := NewCofenceTracker(false, 0)
-	op := ct.Register(OpReads, func() {})
+	op := ct.Register(OpReads, InitFunc(func() {}))
 	op.CompleteLocalData()
 	op.CompleteLocalData() // must not panic or corrupt
 	if ct.Pending() != 0 {
@@ -222,7 +222,7 @@ func TestCompleteLocalDataIdempotent(t *testing.T) {
 func TestMultipleWaitersAllWake(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ct := NewCofenceTracker(false, 0)
-	op := ct.Register(OpWrites, func() {})
+	op := ct.Register(OpWrites, InitFunc(func() {}))
 	woke := 0
 	for i := 0; i < 3; i++ {
 		eng.Go("w", func(p *sim.Proc) {
@@ -251,7 +251,7 @@ func TestPropertyCofenceFiltering(t *testing.T) {
 			var mustWait []*PendingOp
 			for _, c := range classesRaw {
 				class := OpClass(c%3 + 1)
-				op := ct.Register(class, func() {})
+				op := ct.Register(class, InitFunc(func() {}))
 				if !passes(class, d) {
 					mustWait = append(mustWait, op)
 				}

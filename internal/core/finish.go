@@ -89,6 +89,7 @@ func (b *epochBox) resolve() *epochBox {
 // State is one image's view of one finish block.
 type State struct {
 	id         int64
+	track      any       // Ref() as a tracking context, boxed once (see Track)
 	even       *epochBox // permanent fold target
 	odd        *epochBox // current odd epoch, nil when not in one
 	presentOdd bool
@@ -328,6 +329,16 @@ func (pl *Plane) Begin(img *rt.ImageKernel, t *team.Team) *State {
 // Ref returns the tracking context to attach to asynchronous operations
 // initiated inside this finish block.
 func (s *State) Ref() Ref { return Ref{ID: s.id} }
+
+// Track returns Ref as the tracking context operations carry (the value
+// rt.SendOpts.Track takes), boxing it once per block rather than once
+// per operation.
+func (s *State) Track() any {
+	if s.track == nil {
+		s.track = s.Ref()
+	}
+	return s.track
+}
 
 // End runs the termination-detection loop on the calling image's proc p
 // and returns the number of sum-reduction rounds used. All images of the

@@ -213,55 +213,55 @@ func (ep *Endpoint) flushDst(dst int, reason FlushReason) {
 	}
 
 	f.stats.MsgsCoalesced += uint64(len(msgs))
+	pkt := &batch{msgs: msgs, opts: opts}
 	ep.post(&Msg{
 		Src:     ep.rank,
 		Dst:     dst,
 		Tag:     tagBatch,
 		Class:   AMMedium,
 		Bytes:   bytes,
-		Payload: &batch{msgs: msgs, opts: opts},
-	}, batchOpts(opts))
+		Payload: pkt,
+	}, batchOpts(pkt))
 }
 
-// batchOpts folds the inner completion callbacks into the batch packet's
-// own SendOpts: the batch injecting/acking IS every inner message
-// injecting/acking.
-func batchOpts(inner []SendOpts) SendOpts {
-	var injected, delivered, abandoned []func()
-	for _, o := range inner {
-		if o.OnInjected != nil {
-			injected = append(injected, o.OnInjected)
-		}
-		if o.OnDelivered != nil {
-			delivered = append(delivered, o.OnDelivered)
-		}
-		if o.OnAbandoned != nil {
-			abandoned = append(abandoned, o.OnAbandoned)
-		}
-	}
-	var out SendOpts
-	if len(injected) > 0 {
-		out.OnInjected = func() {
-			for _, fn := range injected {
-				fn()
-			}
-		}
-	}
-	if len(delivered) > 0 {
-		out.OnDelivered = func() {
-			for _, fn := range delivered {
-				fn()
-			}
-		}
-	}
-	if len(abandoned) > 0 {
-		out.OnAbandoned = func() {
-			for _, fn := range abandoned {
-				fn()
-			}
+// batchOpts makes the batch packet its inner messages' completion: the
+// batch injecting/acking IS every inner message injecting/acking.
+func batchOpts(b *batch) SendOpts {
+	out := SendOpts{Done: b}
+	for _, o := range b.opts {
+		if o.notifiesInjected() {
+			out.NotifyInjected = true
 		}
 	}
 	return out
+}
+
+// Injected fans the batch's injection out to the inner messages that
+// watch it, in FIFO order.
+func (b *batch) Injected() {
+	for _, o := range b.opts {
+		if o.notifiesInjected() {
+			o.Done.Injected()
+		}
+	}
+}
+
+// Delivered fans the batch's ack out to the inner messages.
+func (b *batch) Delivered() {
+	for _, o := range b.opts {
+		if o.Done != nil {
+			o.Done.Delivered()
+		}
+	}
+}
+
+// Abandoned fans the batch's abandonment out to the inner messages.
+func (b *batch) Abandoned() {
+	for _, o := range b.opts {
+		if o.Done != nil {
+			o.Done.Abandoned()
+		}
+	}
 }
 
 // FlushCoalesced flushes every non-empty aggregation buffer of this

@@ -200,16 +200,16 @@ func TestCoalesceMaxBytesFlush(t *testing.T) {
 	}
 }
 
-// TestCoalesceCallbacksFirePerInnerMessage: every inner OnInjected and
-// OnDelivered fires exactly once when the batch completes.
+// TestCoalesceCallbacksFirePerInnerMessage: every inner Injected and
+// Delivered fires exactly once when the batch completes.
 func TestCoalesceCallbacksFirePerInnerMessage(t *testing.T) {
 	eng, f := newTestFabric(t, 2, coalesceConfig())
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 	injected, delivered := 0, 0
 	for i := 0; i < 4; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8}, SendOpts{
-			OnInjected:  func() { injected++ },
-			OnDelivered: func() { delivered++ },
+			Done:           calls{injected: func() { injected++ }, delivered: func() { delivered++ }},
+			NotifyInjected: true,
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -308,7 +308,7 @@ func TestCoalesceBatchDropRetransmitsAsUnit(t *testing.T) {
 			delivered := 0
 			for i := 0; i < n; i++ {
 				f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{
-					OnDelivered: func() { delivered++ },
+					Done: calls{delivered: func() { delivered++ }},
 				})
 			}
 			f.Endpoint(0).FlushCoalesced()
@@ -321,7 +321,7 @@ func TestCoalesceBatchDropRetransmitsAsUnit(t *testing.T) {
 				}
 			}
 			if delivered != n {
-				t.Errorf("OnDelivered fired %d times, want %d", delivered, n)
+				t.Errorf("Delivered fired %d times, want %d", delivered, n)
 			}
 			s := f.Stats()
 			if fault.plan.Drop > 0 && s.Retransmits == 0 {
@@ -379,7 +379,7 @@ func TestCoalesceCrashAbandonsBufferedMessages(t *testing.T) {
 	// dead at 2us and must abandon all three.
 	for i := 0; i < 3; i++ {
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: i}, SendOpts{
-			OnDelivered: func() { delivered++ },
+			Done: calls{delivered: func() { delivered++ }},
 		})
 	}
 	if err := eng.Run(); err != nil {

@@ -136,31 +136,48 @@ type Msg struct {
 // runs as a simulation event on the receiving image's comm context.
 type Handler func(ep *Endpoint, m *Msg)
 
-// SendOpts carries completion callbacks for one Send.
-type SendOpts struct {
-	// OnInjected fires when the payload has left the source buffer
+// Completion receives the sender-side completion stages of one message.
+// The sender hands one Completion per message, usually the record that
+// already describes the operation, so that watching the stages allocates
+// nothing. On the reliable path (a fabric with a fault plan) exactly one
+// of Delivered and Abandoned fires per logical message, except that
+// messages still in a coalescing buffer when their NIC dies vanish with
+// neither; the idealized transport never abandons. Injected fires before
+// either, and only when the send asked for it (SendOpts.NotifyInjected).
+type Completion interface {
+	// Injected fires when the payload has left the source buffer
 	// (local data completion for the sender).
-	OnInjected func()
-	// OnDelivered fires on the *sender* when the delivery ack returns
+	Injected()
+	// Delivered fires on the *sender* when the delivery ack returns
 	// (local operation completion for the sender).
-	OnDelivered func()
+	Delivered()
+	// Abandoned fires on the sender when the fabric gives up on the
+	// message for good: the sending NIC was dead at injection, the
+	// destination NIC was declared dead at an ack timeout, or the
+	// retransmission attempt budget ran out. Failure-aware layers use
+	// this to charge off work resident on dead images instead of
+	// waiting forever.
+	Abandoned()
+}
+
+// SendOpts carries the completion of one Send.
+type SendOpts struct {
+	// Done receives the message's completion stages; nil watches none.
+	Done Completion
+	// NotifyInjected asks for Done.Injected at injection. It costs one
+	// engine event per message, so only senders that watch source-buffer
+	// reuse set it.
+	NotifyInjected bool
 	// NoCoalesce exempts this message from the coalescing buffer:
 	// latency-critical control traffic (blocking RPCs and their replies,
 	// event notifies, collective reductions) must not wait out a flush
 	// timer. A NoCoalesce message still flushes its destination's buffer
 	// first, preserving per-channel FIFO order.
 	NoCoalesce bool
-	// OnAbandoned fires on the sender when the fabric gives up on the
-	// message for good: the sending NIC was dead at injection, the
-	// destination NIC was declared dead at an ack timeout, or the
-	// retransmission attempt budget ran out. Exactly one of OnDelivered
-	// and OnAbandoned fires per logical message on the reliable path;
-	// neither fires for a message swallowed by a dead sender before the
-	// reliable protocol engaged (OnAbandoned covers that case too).
-	// Failure-aware layers use this to charge off work resident on dead
-	// images instead of waiting forever.
-	OnAbandoned func()
 }
+
+// notifiesInjected reports whether the send schedules an injection event.
+func (o SendOpts) notifiesInjected() bool { return o.NotifyInjected && o.Done != nil }
 
 // Stats aggregates fabric-wide counters. MsgsSent counts transmissions
 // (retransmits included); the fault/reliability counters below it are all
@@ -208,6 +225,10 @@ type Fabric struct {
 	coalescing bool
 	coal       Coalescing
 
+	// Idle flight records of the idealized transport, reused by later
+	// sends (see flight).
+	free []*flight
+
 	// Metrics instruments, resolved once at construction (all nil — and
 	// every call a no-op — when cfg.Metrics is nil).
 	mLinkMsgs    *metrics.Counter
@@ -244,6 +265,13 @@ func New(eng *sim.Engine, n int, cfg Config) *Fabric {
 		f.frng = eng.DeriveRand(0x4641554C ^ f.plan.Seed)
 	}
 	f.eps = make([]*Endpoint, n)
+	// Per-destination arrival floors for FIFO delivery, one row per
+	// endpoint carved out of one array. A faulty fabric never delivers in
+	// order, so it needs none.
+	var arrivals []sim.Time
+	if cfg.FIFO && !f.reliable {
+		arrivals = make([]sim.Time, n*n)
+	}
 	nics := make(map[int]*nicState)
 	for i := range f.eps {
 		node := i
@@ -260,6 +288,9 @@ func New(eng *sim.Engine, n int, cfg Config) *Fabric {
 			rank:     i,
 			nic:      nic,
 			handlers: make(map[uint16]Handler),
+		}
+		if arrivals != nil {
+			f.eps[i].lastArrival = arrivals[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
 	return f
@@ -397,9 +428,10 @@ type Endpoint struct {
 	recvFree sim.Time // receiver handler context busy-until
 
 	outstanding int          // un-acked sends (credit accounting)
-	sendq       []queuedSend // waiting for credits
+	sendq       []queuedSend // waiting for credits, from sendqHead on
+	sendqHead   int
 
-	lastArrival map[int]sim.Time // per-destination FIFO enforcement
+	lastArrival []sim.Time // per-destination FIFO floor, indexed by rank
 
 	// Reliability-protocol state, used only when the fabric has a fault
 	// plan: per-destination sequence numbers, un-acked transmissions, and
@@ -455,7 +487,7 @@ func (ep *Endpoint) RegisterHandler(tag uint16, fn Handler) {
 
 // Send initiates an active message from this endpoint. It never blocks:
 // if flow-control credits are exhausted the message queues locally and
-// the caller learns about progress only through opts callbacks. Send
+// the caller learns about progress only through opts.Done. Send
 // panics if a medium AM exceeds the fabric payload cap or the tag has no
 // handler at the destination — both are protocol bugs, not runtime
 // conditions.
@@ -492,17 +524,17 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 	if ep.f.reliable && ep.f.crashedNow(ep.rank) {
 		// A dead NIC injects nothing; the message vanishes with no
 		// success callback — supervising layers must never conclude
-		// success from silence. OnAbandoned (if any) still fires so
+		// success from silence. Done.Abandoned (if any) still fires so
 		// failure-aware layers can account for the loss.
 		ep.f.stats.Abandoned++
-		if opts.OnAbandoned != nil {
-			opts.OnAbandoned()
+		if opts.Done != nil {
+			opts.Done.Abandoned()
 		}
 		return
 	}
 	if ep.f.cfg.Credits > 0 && ep.outstanding >= ep.f.cfg.Credits {
-		ep.sendq = append(ep.sendq, queuedSend{m: m, opts: opts, queuedAt: ep.f.eng.Now()})
-		ep.f.mSendqPeak.SetMax(ep.rank, int64(len(ep.sendq)))
+		ep.enqueue(queuedSend{m: m, opts: opts, queuedAt: ep.f.eng.Now()})
+		ep.f.mSendqPeak.SetMax(ep.rank, int64(ep.QueuedSends()))
 		return
 	}
 	if ep.f.reliable {
@@ -513,7 +545,32 @@ func (ep *Endpoint) post(m *Msg, opts SendOpts) {
 }
 
 // QueuedSends reports how many messages are stalled waiting for credits.
-func (ep *Endpoint) QueuedSends() int { return len(ep.sendq) }
+func (ep *Endpoint) QueuedSends() int { return len(ep.sendq) - ep.sendqHead }
+
+// enqueue appends a credit-stalled send. The drained prefix of the
+// queue's array is reused: the live tail moves down when the array is
+// full, so the array is bounded by the queue's peak length.
+func (ep *Endpoint) enqueue(q queuedSend) {
+	if len(ep.sendq) == cap(ep.sendq) && ep.sendqHead > 0 {
+		n := copy(ep.sendq, ep.sendq[ep.sendqHead:])
+		clear(ep.sendq[n:])
+		ep.sendq, ep.sendqHead = ep.sendq[:n], 0
+	}
+	ep.sendq = append(ep.sendq, q)
+}
+
+// dequeue removes the oldest credit-stalled send. Its slot is cleared,
+// so the array keeps neither the message, its payload nor its
+// completion reachable; a queue drained empty starts over at the front.
+func (ep *Endpoint) dequeue() queuedSend {
+	q := ep.sendq[ep.sendqHead]
+	ep.sendq[ep.sendqHead] = queuedSend{}
+	ep.sendqHead++
+	if ep.sendqHead == len(ep.sendq) {
+		ep.sendq, ep.sendqHead = ep.sendq[:0], 0
+	}
+	return q
+}
 
 // PendingRetx reports how many logical messages are in flight on the
 // reliability protocol (sent, not yet acked or abandoned). Always 0 on
@@ -543,15 +600,8 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 	injected := start + sim.Time(m.Bytes)*f.cfg.GapPerByte
 	ep.nic.free = injected
 
-	if opts.OnInjected != nil {
-		eng.At(injected, opts.OnInjected)
-	}
-
 	arrival := injected + f.wireLatency(m.Src, m.Dst)
-	if f.cfg.FIFO {
-		if ep.lastArrival == nil {
-			ep.lastArrival = make(map[int]sim.Time)
-		}
+	if ep.lastArrival != nil {
 		if last := ep.lastArrival[m.Dst]; arrival < last {
 			arrival = last
 		}
@@ -560,49 +610,109 @@ func (ep *Endpoint) inject(m *Msg, opts SendOpts) {
 		arrival += sim.Time(eng.Rand().Int63n(int64(f.cfg.Jitter) + 1))
 	}
 
-	dst := f.eps[m.Dst]
-	eng.AtShard(f.shardOf(m.Dst), arrival, func() { dst.deliver(m, ep, opts) })
+	fl := f.newFlight(m, ep, opts.Done)
+	if opts.notifiesInjected() {
+		// The injection notice runs before the arrival: it is no later
+		// and is scheduled first.
+		fl.stage = flightInjected
+		eng.At(injected, fl.fn)
+	}
+	eng.AtShard(f.shardOf(m.Dst), arrival, fl.fn)
 }
 
-// deliver runs at message arrival on the destination endpoint: it claims
-// the receiver's handler context, dispatches the handler, and returns the
-// delivery ack to the sender.
-func (ep *Endpoint) deliver(m *Msg, src *Endpoint, opts SendOpts) {
-	f := ep.f
-	eng := f.eng
-	handlerAt := eng.Now()
-	if ep.recvFree > handlerAt {
-		handlerAt = ep.recvFree
+// flight is one message's trip through the idealized transport. One
+// record carries every stage — the optional injection notice, arrival at
+// the destination, handler dispatch and the returning ack — and one
+// engine callback (fn, bound once when the record is made) runs them in
+// turn. The record is made only at injection, never while a message
+// waits for credits. The message is dropped from it at dispatch, so the
+// ack leg pins neither the message nor its payload. After the ack the
+// record goes back to the fabric's free list, so once the list is warm a
+// send allocates no transport state of its own.
+type flight struct {
+	f     *Fabric
+	fn    func() // fl.step, bound once
+	stage flightStage
+	m     *Msg
+	src   *Endpoint
+	dst   *Endpoint
+	done  Completion
+}
+
+type flightStage uint8
+
+const (
+	flightInjected flightStage = iota // payload left the source buffer
+	flightArrive                      // message reached the destination
+	flightDispatch                    // handler context free: run the handler
+	flightAck                         // delivery ack back at the sender
+)
+
+// newFlight takes a record off the free list (or makes one) for m.
+func (f *Fabric) newFlight(m *Msg, src *Endpoint, done Completion) *flight {
+	var fl *flight
+	if n := len(f.free); n > 0 {
+		fl = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+	} else {
+		fl = &flight{f: f}
+		fl.fn = fl.step
 	}
-	done := handlerAt + f.cfg.AMOverhead
-	ep.recvFree = done
+	fl.stage = flightArrive
+	fl.m, fl.src, fl.dst, fl.done = m, src, f.eps[m.Dst], done
+	return fl
+}
 
-	eng.At(done, func() {
-		ep.dispatch(m)
-
+// step runs the flight's next stage.
+func (fl *flight) step() {
+	f := fl.f
+	eng := f.eng
+	switch fl.stage {
+	case flightInjected:
+		fl.stage = flightArrive
+		fl.done.Injected()
+	case flightArrive:
+		// Claim the receiver's handler context.
+		ep := fl.dst
+		handlerAt := eng.Now()
+		if ep.recvFree > handlerAt {
+			handlerAt = ep.recvFree
+		}
+		done := handlerAt + f.cfg.AMOverhead
+		ep.recvFree = done
+		fl.stage = flightDispatch
+		eng.At(done, fl.fn)
+	case flightDispatch:
+		m := fl.m
+		fl.m = nil
+		fl.dst.dispatch(m)
 		// Delivery ack back to the sender (credit release + callback).
 		ackAt := eng.Now() + f.wireLatency(m.Dst, m.Src)
 		if f.cfg.AckLatency != f.cfg.Latency && m.Src != m.Dst {
 			ackAt = eng.Now() + f.cfg.AckLatency
 		}
-		eng.AtShard(f.shardOf(m.Src), ackAt, func() {
-			f.stats.Acks++
-			src.outstanding--
-			if opts.OnDelivered != nil {
-				opts.OnDelivered()
-			}
-			src.drainQueue()
-		})
-	})
+		fl.stage = flightAck
+		eng.AtShard(f.shardOf(m.Src), ackAt, fl.fn)
+	case flightAck:
+		src, done := fl.src, fl.done
+		fl.src, fl.dst, fl.done = nil, nil, nil
+		f.free = append(f.free, fl)
+		f.stats.Acks++
+		src.outstanding--
+		if done != nil {
+			done.Delivered()
+		}
+		src.drainQueue()
+	}
 }
 
 // drainQueue launches stalled sends as credits free up. Each stalled
 // message pays the flow-control penalty on its way out.
 func (ep *Endpoint) drainQueue() {
 	f := ep.f
-	for len(ep.sendq) > 0 && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
-		q := ep.sendq[0]
-		ep.sendq = ep.sendq[1:]
+	for ep.QueuedSends() > 0 && (f.cfg.Credits == 0 || ep.outstanding < f.cfg.Credits) {
+		q := ep.dequeue()
 		stall := f.eng.Now() - q.queuedAt
 		f.stats.CreditStall += stall
 		f.mCreditStall.Add(ep.rank, int64(stall))
@@ -624,7 +734,7 @@ func (ep *Endpoint) drainQueue() {
 // Sequence numbers per (src,dst) pair, receiver-side dedup, and
 // ack-timeout retransmission turn the lossy faulty wire back into an
 // exactly-once transport for the layers above: the handler runs once per
-// logical message and OnDelivered fires once per logical message, no
+// logical message and Delivered fires once per logical message, no
 // matter how many transmissions, duplications, or lost acks it took.
 // ---------------------------------------------------------------------
 
@@ -680,8 +790,8 @@ func (ep *Endpoint) transmit(tx *txState) {
 	}
 	injected := start + sim.Time(m.Bytes)*f.cfg.GapPerByte
 	ep.nic.free = injected
-	if tx.attempts == 1 && tx.opts.OnInjected != nil {
-		eng.At(injected, tx.opts.OnInjected)
+	if tx.attempts == 1 && tx.opts.notifiesInjected() {
+		eng.At(injected, tx.opts.Done.Injected)
 	}
 
 	// Arm the retransmission timer from the moment the payload is on the
@@ -720,11 +830,11 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 		// Release the flow-control credit so unrelated traffic keeps
 		// moving, but fire no success callback: the supervising layer
 		// must observe the loss (a finish block will simply never
-		// terminate — the never-early side of Theorem 1). OnAbandoned
+		// terminate — the never-early side of Theorem 1). Abandoned
 		// is the explicit loss notification for failure-aware layers.
 		ep.outstanding--
-		if tx.opts.OnAbandoned != nil {
-			tx.opts.OnAbandoned()
+		if tx.opts.Done != nil {
+			tx.opts.Done.Abandoned()
 		}
 		ep.drainQueue()
 		return
@@ -739,7 +849,7 @@ func (ep *Endpoint) onAckTimeout(tx *txState) {
 // failure layer calls this at declaration time so charge-off callbacks
 // fire promptly instead of trickling out of backed-off ack timeouts.
 // Endpoints are walked in rank order and each endpoint's victims in
-// (dst, seq) order, so the OnAbandoned callback order is reproducible.
+// (dst, seq) order, so the Abandoned callback order is reproducible.
 func (f *Fabric) AbandonForDead(rank int) {
 	if !f.reliable {
 		return
@@ -751,7 +861,7 @@ func (f *Fabric) AbandonForDead(rank int) {
 				victims = append(victims, k)
 			}
 		}
-		if len(victims) == 0 && (ep.rank != rank || len(ep.sendq) == 0) {
+		if len(victims) == 0 && (ep.rank != rank || ep.QueuedSends() == 0) {
 			continue
 		}
 		sort.Slice(victims, func(i, j int) bool {
@@ -767,19 +877,19 @@ func (f *Fabric) AbandonForDead(rank int) {
 			f.stats.Abandoned++
 			delete(ep.pending, k)
 			ep.outstanding--
-			if tx.opts.OnAbandoned != nil {
-				tx.opts.OnAbandoned()
+			if tx.opts.Done != nil {
+				tx.opts.Done.Abandoned()
 			}
 		}
 		if ep.rank == rank {
 			// The dead endpoint's credit-stalled queue can never inject:
 			// abandon it outright rather than draining it into a dead NIC.
-			q := ep.sendq
-			ep.sendq = nil
+			q := ep.sendq[ep.sendqHead:]
+			ep.sendq, ep.sendqHead = nil, 0
 			for _, qs := range q {
 				f.stats.Abandoned++
-				if qs.opts.OnAbandoned != nil {
-					qs.opts.OnAbandoned()
+				if qs.opts.Done != nil {
+					qs.opts.Done.Abandoned()
 				}
 			}
 			continue
@@ -846,7 +956,7 @@ func (ep *Endpoint) deliverReliable(m *Msg, src *Endpoint, seq uint64) {
 }
 
 // onAckArrival processes a delivery ack on the sender. Exactly the first
-// ack per logical message releases the credit and fires OnDelivered;
+// ack per logical message releases the credit and fires Delivered;
 // redundant acks (from dups or retransmissions) are counted and ignored.
 func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
 	f := ep.f
@@ -863,8 +973,8 @@ func (ep *Endpoint) onAckArrival(peer int, seq uint64) {
 	delete(ep.pending, txKey{peer, seq})
 	f.stats.Acks++
 	ep.outstanding--
-	if tx.opts.OnDelivered != nil {
-		tx.opts.OnDelivered()
+	if tx.opts.Done != nil {
+		tx.opts.Done.Delivered()
 	}
 	ep.drainQueue()
 }

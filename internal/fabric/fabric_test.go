@@ -9,6 +9,27 @@ import (
 
 const tagTest uint16 = 1
 
+// calls adapts per-stage funcs to a Completion; nil stages are ignored.
+type calls struct{ injected, delivered, abandoned func() }
+
+func (c calls) Injected() {
+	if c.injected != nil {
+		c.injected()
+	}
+}
+
+func (c calls) Delivered() {
+	if c.delivered != nil {
+		c.delivered()
+	}
+}
+
+func (c calls) Abandoned() {
+	if c.abandoned != nil {
+		c.abandoned()
+	}
+}
+
 func newTestFabric(t testing.TB, n int, cfg Config) (*sim.Engine, *Fabric) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -44,8 +65,8 @@ func TestCompletionCallbackOrdering(t *testing.T) {
 	var injectedAt, handledAt, deliveredAt sim.Time
 	f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) { handledAt = eng.Now() })
 	f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMMedium, Bytes: 100}, SendOpts{
-		OnInjected:  func() { injectedAt = eng.Now() },
-		OnDelivered: func() { deliveredAt = eng.Now() },
+		Done:           calls{injected: func() { injectedAt = eng.Now() }, delivered: func() { deliveredAt = eng.Now() }},
+		NotifyInjected: true,
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -398,7 +419,7 @@ func TestAckLatencyConfigurable(t *testing.T) {
 		f.Endpoint(1).RegisterHandler(tagTest, func(ep *Endpoint, m *Msg) {})
 		var at sim.Time
 		f.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort}, SendOpts{
-			OnDelivered: func() { at = eng.Now() },
+			Done: calls{delivered: func() { at = eng.Now() }},
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -502,5 +523,37 @@ func TestImagesPerNodeIntraNodeLatency(t *testing.T) {
 	}
 	if atCross != cfg.Latency {
 		t.Errorf("cross-node arrival %v, want Latency %v", atCross, cfg.Latency)
+	}
+}
+
+// TestDrainedQueueHoldsNoMessage: a credit-stalled send leaves no trace
+// in the queue's array once it has been drained — neither the message
+// (and with it the payload) nor its completion stays reachable from the
+// endpoint.
+func TestDrainedQueueHoldsNoMessage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Credits = 2
+	eng, f := newTestFabric(t, 2, cfg)
+	f.Endpoint(1).RegisterHandler(tagTest, func(*Endpoint, *Msg) {})
+	src := f.Endpoint(0)
+	done := &countDone{}
+	for i := 0; i < 8; i++ {
+		src.Send(&Msg{Src: 0, Dst: 1, Tag: tagTest, Class: AMShort, Bytes: 8, Payload: make([]byte, 64)},
+			SendOpts{Done: done})
+	}
+	if src.QueuedSends() != 6 {
+		t.Fatalf("%d sends queued for credits, want 6", src.QueuedSends())
+	}
+	backing := src.sendq[:cap(src.sendq)]
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if src.QueuedSends() != 0 || done.delivered != 8 {
+		t.Fatalf("queued %d, delivered %d after the run, want 0 and 8", src.QueuedSends(), done.delivered)
+	}
+	for i, q := range backing {
+		if q.m != nil || q.opts.Done != nil {
+			t.Errorf("drained slot %d still holds %+v", i, q)
+		}
 	}
 }

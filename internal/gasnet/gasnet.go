@@ -138,12 +138,20 @@ func (c *Conduit) PutNB(fromRank int, seg *Segment, dstRank, off int, data []byt
 	h := &Handle{}
 	snapshot := append([]byte(nil), data...)
 	c.k.Image(fromRank).Send(dstRank, tagPut, &putMsg{seg: seg, off: off, data: snapshot}, rt.SendOpts{
-		Class:       classFor(c.k, len(data)+16),
-		Bytes:       len(data) + 16,
-		OnDelivered: func() { h.complete(nil) },
+		Class: classFor(c.k, len(data)+16),
+		Bytes: len(data) + 16,
+		Done:  (*putDone)(h),
 	})
 	return h
 }
+
+// putDone is a put's Handle seen as its message's completion: the
+// delivery ack completes the handle.
+type putDone Handle
+
+func (p *putDone) Injected()  {}
+func (p *putDone) Delivered() { (*Handle)(p).complete(nil) }
+func (p *putDone) Abandoned() {}
 
 // GetNB starts an explicit-handle non-blocking get of n bytes from
 // (srcRank, off); the result is in Handle.Data after sync.

@@ -53,12 +53,48 @@ type Tracker interface {
 // Handler processes a delivered message on an image.
 type Handler func(d *Delivery)
 
-// env is the rt wire envelope.
+// env is one message's runtime record: the fabric message, the
+// receiver's Delivery view and the sender's completion, in a single
+// allocation. The fabric message's payload is the env itself. The
+// sender's stamped tracking context and completion ride along so that
+// the env can stand in as the fabric-level Completion, forwarding the
+// ack to the tracker before the sender's own callback.
 type env struct {
-	payload any
-	track   any
-	replyTo int    // world rank awaiting a reply, or -1
-	replyID uint64 // correlation id at replyTo
+	msg   fabric.Msg
+	d     Delivery          // Payload, replyTo and replyID are set at send
+	from  *ImageKernel      // the sender
+	track any               // OnSend's stamped context, nil if untracked
+	done  fabric.Completion // the sender's completion, or nil
+}
+
+// Injected forwards the injection notice to the sender's completion;
+// send asks for it only when there is one.
+func (e *env) Injected() { e.done.Injected() }
+
+// Delivered counts the ack with the tracker, then runs the sender's
+// completion.
+func (e *env) Delivered() {
+	if e.track != nil {
+		e.from.k.tracker.OnAck(e.from, e.track)
+	}
+	if e.done != nil {
+		e.done.Delivered()
+	}
+}
+
+// Abandoned reconciles the tracker and runs the sender's completion —
+// only with a failure detector attached: without one, abandonment stays
+// silent, exactly as it was before the detector existed.
+func (e *env) Abandoned() {
+	if e.from.k.det == nil {
+		return
+	}
+	if e.track != nil {
+		e.from.k.tracker.OnAbandoned(e.from, e.track)
+	}
+	if e.done != nil {
+		e.done.Abandoned()
+	}
 }
 
 // Kernel is the whole simulated machine.
@@ -194,21 +230,23 @@ func (img *ImageKernel) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 // the image starts another proc.
 func (img *ImageKernel) Procs() []*sim.Proc { return img.procs.Live() }
 
-// SendOpts mirror fabric completion callbacks plus the tracking context.
+// SendOpts carry the fabric completion plus the tracking context.
 type SendOpts struct {
-	Track       any    // finish-plane context; nil = untracked
-	OnInjected  func() // source buffer reusable (local data completion)
-	OnDelivered func() // delivery ack returned (local op completion)
-	Class       fabric.Class
-	Bytes       int
+	Track any // finish-plane context; nil = untracked
+	// Done receives the message's completion stages (see
+	// fabric.Completion): Injected when the source buffer is reusable
+	// (local data completion, only with NotifyInjected), Delivered when
+	// the delivery ack returned (local op completion). Abandoned, when
+	// the fabric gives up on the message, is only honored when a failure
+	// detector is attached — without one, legacy behavior (silence on
+	// loss) is preserved bit-for-bit.
+	Done           fabric.Completion
+	NotifyInjected bool
+	Class          fabric.Class
+	Bytes          int
 	// NoCoalesce exempts latency-critical control traffic from the
 	// fabric's coalescing buffer (see fabric.SendOpts.NoCoalesce).
 	NoCoalesce bool
-	// OnAbandoned fires when the fabric gives up on the message (see
-	// fabric.SendOpts.OnAbandoned). Only honored when a failure
-	// detector is attached — without one, legacy behavior (silence on
-	// loss) is preserved bit-for-bit.
-	OnAbandoned func()
 	// Path tags the message with the traced request whose causal path
 	// it rides (see fabric.Msg.Path). Zero = untagged.
 	Path path.Tag
@@ -216,43 +254,21 @@ type SendOpts struct {
 
 // Send delivers payload to handler tag on image dst.
 func (img *ImageKernel) Send(dst int, tag uint16, payload any, opts SendOpts) {
-	e := &env{payload: payload, replyTo: -1}
+	img.send(dst, tag, payload, -1, 0, opts)
+}
+
+// send builds the message's env and hands it to the fabric. replyTo is
+// the world rank awaiting a reply (-1 for none), replyID the
+// correlation id there.
+func (img *ImageKernel) send(dst int, tag uint16, payload any, replyTo int, replyID uint64, opts SendOpts) {
+	e := &env{from: img, done: opts.Done}
+	e.d.Payload, e.d.replyTo, e.d.replyID = payload, replyTo, replyID
 	if opts.Track != nil {
 		if tr := img.k.tracker; tr != nil {
 			e.track = tr.OnSend(img, dst, opts.Track)
 		}
 	}
-	img.sendEnv(dst, tag, e, opts)
-}
-
-func (img *ImageKernel) sendEnv(dst int, tag uint16, e *env, opts SendOpts) {
-	onDelivered := opts.OnDelivered
-	onAbandoned := opts.OnAbandoned
-	if img.k.det == nil {
-		// No failure detector: abandonment stays silent, exactly as it
-		// was before the detector existed.
-		onAbandoned = nil
-	}
-	if e.track != nil {
-		tr := img.k.tracker
-		prev := onDelivered
-		onDelivered = func() {
-			tr.OnAck(img, e.track)
-			if prev != nil {
-				prev()
-			}
-		}
-		if img.k.det != nil {
-			prevAb := onAbandoned
-			onAbandoned = func() {
-				tr.OnAbandoned(img, e.track)
-				if prevAb != nil {
-					prevAb()
-				}
-			}
-		}
-	}
-	img.ep.Send(&fabric.Msg{
+	e.msg = fabric.Msg{
 		Src:     img.rank,
 		Dst:     dst,
 		Tag:     tag,
@@ -260,12 +276,13 @@ func (img *ImageKernel) sendEnv(dst int, tag uint16, e *env, opts SendOpts) {
 		Bytes:   opts.Bytes,
 		Payload: e,
 		Path:    opts.Path,
-	}, fabric.SendOpts{
-		OnInjected:  opts.OnInjected,
-		OnDelivered: onDelivered,
-		NoCoalesce:  opts.NoCoalesce,
-		OnAbandoned: onAbandoned,
-	})
+	}
+	fo := fabric.SendOpts{NoCoalesce: opts.NoCoalesce}
+	if e.done != nil || e.track != nil {
+		fo.Done = e
+		fo.NotifyInjected = opts.NotifyInjected && e.done != nil
+	}
+	img.ep.Send(&e.msg, fo)
 }
 
 // FlushCoalesced flushes this image's fabric aggregation buffers — the
@@ -273,7 +290,10 @@ func (img *ImageKernel) sendEnv(dst int, tag uint16, e *env, opts SendOpts) {
 // collectives, program exit) invoke. A no-op when coalescing is off.
 func (img *ImageKernel) FlushCoalesced() { img.ep.FlushCoalesced() }
 
-// Delivery is the receiving-side view of one message.
+// Delivery is the receiving-side view of one message. It lives in the
+// message's runtime record; Payload is cleared once the delivery has
+// completed (when the handler returns, or at Complete for a detached
+// delivery), so the returning ack does not keep the payload reachable.
 type Delivery struct {
 	Img     *ImageKernel // the destination image
 	Src     int          // sender world rank
@@ -281,10 +301,10 @@ type Delivery struct {
 	Bytes   int
 
 	track    any
-	detached bool
-	done     bool
 	replyTo  int
 	replyID  uint64
+	detached bool
+	done     bool
 	replied  bool
 }
 
@@ -302,6 +322,7 @@ func (d *Delivery) Complete() {
 		panic("rt: Complete on non-detached delivery")
 	}
 	d.finishCompletion()
+	d.Payload = nil
 }
 
 func (d *Delivery) finishCompletion() {
@@ -334,7 +355,8 @@ func (d *Delivery) Reply(payload any, bytes int) {
 		class = fabric.RDMA
 	}
 	// The caller is parked on this reply: never coalesce it.
-	d.Img.Send(d.replyTo, tagReply, replyMsg{id: d.replyID, payload: payload}, SendOpts{
+	// The reply's env carries the correlation id in its replyID.
+	d.Img.send(d.replyTo, tagReply, payload, -1, d.replyID, SendOpts{
 		Class:      class,
 		Bytes:      bytes,
 		NoCoalesce: true,
@@ -343,15 +365,8 @@ func (d *Delivery) Reply(payload any, bytes int) {
 
 func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 	e := m.Payload.(*env)
-	d := &Delivery{
-		Img:     img,
-		Src:     m.Src,
-		Payload: e.payload,
-		Bytes:   m.Bytes,
-		track:   e.track,
-		replyTo: e.replyTo,
-		replyID: e.replyID,
-	}
+	d := &e.d
+	d.Img, d.Src, d.Bytes, d.track = img, m.Src, m.Bytes, e.track
 	if e.track != nil {
 		if tr := img.k.tracker; tr != nil {
 			d.track = tr.OnReceive(img, e.track)
@@ -360,12 +375,8 @@ func (img *ImageKernel) dispatch(m *fabric.Msg, h Handler) {
 	h(d)
 	if !d.detached {
 		d.finishCompletion()
+		d.Payload = nil
 	}
-}
-
-type replyMsg struct {
-	id      uint64
-	payload any
 }
 
 type callWait struct {
@@ -376,8 +387,8 @@ type callWait struct {
 
 func (img *ImageKernel) handleReply(m *fabric.Msg) {
 	e := m.Payload.(*env)
-	r := e.payload.(replyMsg)
-	w, ok := img.calls[r.id]
+	id := e.d.replyID
+	w, ok := img.calls[id]
 	if !ok {
 		if img.k.det != nil {
 			// With a failure detector, a Call can be aborted while its
@@ -385,10 +396,10 @@ func (img *ImageKernel) handleReply(m *fabric.Msg) {
 			// is dropped, not a protocol bug.
 			return
 		}
-		panic(fmt.Sprintf("rt: image %d: reply for unknown call %d", img.rank, r.id))
+		panic(fmt.Sprintf("rt: image %d: reply for unknown call %d", img.rank, id))
 	}
-	delete(img.calls, r.id)
-	w.payload = r.payload
+	delete(img.calls, id)
+	w.payload = e.d.Payload
 	w.done = true
 	w.proc.Unpark()
 }
@@ -408,13 +419,7 @@ func (img *ImageKernel) Call(p *sim.Proc, dst int, tag uint16, payload any, opts
 	// This proc blocks until the reply: coalescing the request would
 	// trade its latency for nothing.
 	opts.NoCoalesce = true
-	e := &env{payload: payload, replyTo: img.rank, replyID: id}
-	if opts.Track != nil {
-		if tr := img.k.tracker; tr != nil {
-			e.track = tr.OnSend(img, dst, opts.Track)
-		}
-	}
-	img.sendEnv(dst, tag, e, opts)
+	img.send(dst, tag, payload, img.rank, id, opts)
 	det := img.k.det
 	p.WaitUntil("rpc reply", func() bool { return w.done || det.AnyDead() })
 	if !w.done {

@@ -111,7 +111,7 @@ func (ps *PollSet) Wait() int {
 		// deferred-initiation buffer or coalescing buffers; a wait is a
 		// synchronization point, so put them on the wire first — before
 		// parking, like cofence and event wait.
-		img.ct.Flush()
+		img.flushImplicit()
 		img.st.kern.FlushCoalesced()
 		start := img.Now()
 		btok := img.beginBlock("pollset")

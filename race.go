@@ -206,36 +206,49 @@ func raceRecordCtx[T any](img *Image, s Sec[T], write bool, op string) {
 
 // collBracket installs a blocking collective's edges: a role-filtered
 // release before the operation, and a deferred role-filtered acquire
-// (call the returned func after the collective returns, when every
-// releaser has contributed). It also brackets the call for the
+// (call end on the returned bracket after the collective returns, when
+// every releaser has contributed). It also brackets the call for the
 // observability layer: one lifecycle op (a blocking collective runs all
 // four stages inside the call) and one blocked interval, both inert
-// when tracing is off.
-func (img *Image) collBracket(name string, t *Team, rel, acq bool) func() {
-	opID := img.opNew("coll:"+name, -1)
-	img.opStage(opID, trace.StageInit)
-	btok := img.beginBlock("collective")
-	finish := func() {
-		img.opStage(opID, trace.StageLocalData)
-		img.opStage(opID, trace.StageLocalOp)
-		img.opStage(opID, trace.StageGlobal)
-		img.endBlock(btok)
-	}
+// when tracing is off. kind is the op kind ("coll:<name>"). The bracket
+// is a value: it lives on the caller's stack.
+func (img *Image) collBracket(kind string, t *Team, rel, acq bool) collSpan {
+	b := collSpan{img: img}
+	img.opInit(&b.op, kind, -1)
+	img.opStage(&b.op, trace.StageInit)
+	b.btok = img.beginBlock("collective")
 	rs := img.m.race
 	if rs == nil || img.rc == nil {
-		return finish
+		return b
 	}
 	cs := rs.collInstance(img.Rank(), t)
 	if rel {
 		img.rc.ReleaseInto(&cs.clk)
 	}
-	if !acq {
-		return finish
+	if acq {
+		b.acquire = cs
 	}
-	return func() {
-		img.rc.Acquire(cs.clk)
-		finish()
+	return b
+}
+
+// collSpan is one blocking collective call as collBracket opened it.
+type collSpan struct {
+	img     *Image
+	op      Op
+	btok    trace.BlockToken
+	acquire *collSync // instance whose clock to acquire at the end, or nil
+}
+
+// end closes the bracket once the collective returned.
+func (b *collSpan) end() {
+	img := b.img
+	if b.acquire != nil {
+		img.rc.Acquire(b.acquire.clk)
 	}
+	img.opStage(&b.op, trace.StageLocalData)
+	img.opStage(&b.op, trace.StageLocalOp)
+	img.opStage(&b.op, trace.StageGlobal)
+	img.endBlock(b.btok)
 }
 
 // ---------------------------------------------------------------------

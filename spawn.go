@@ -56,15 +56,36 @@ func WithPayload(data []byte) SpawnOpt {
 	}
 }
 
-// spawnMsg is the wire payload of a shipped function.
+// spawnMsg is one shipped function: its wire payload and, in the same
+// record, the spawning side's initiation state and completion.
 type spawnMsg struct {
-	fn       SpawnFn
-	finishID int64
-	event    *Event
-	data     []byte
-	op       *Op        // completion handle
-	rclk     race.Clock // spawner's clock at initiation (fork edge)
-	pctx     path.Ctx   // traced request context the shipped fn runs under
+	fn        SpawnFn
+	finishID  int64
+	event     *Event
+	data      []byte
+	opMessage            // completion handle and delivery token
+	rclk      race.Clock // spawner's clock at initiation (fork edge)
+	pctx      path.Ctx   // traced request context the shipped fn runs under
+
+	// Initiation state, used on the spawning image.
+	st      *imageState
+	target  int
+	cofence core.PendingOp // registration of an implicit spawn
+	args    []byte         // WithPayload's buffer, copied at initiation
+	send    rt.SendOpts
+}
+
+// Initiate ships the function. Argument evaluation — the payload is
+// copied here — is also the spawn's local data completion.
+func (msg *spawnMsg) Initiate() {
+	m, me := msg.op.m, msg.op.img
+	m.opStageAt(&msg.op, me, trace.StageInit)
+	m.opStageAt(&msg.op, me, trace.StageLocalData)
+	if msg.args != nil {
+		msg.data = append([]byte(nil), msg.args...)
+	}
+	msg.st.addDelivToken(&msg.tok, msg.rclk)
+	msg.st.kern.Send(msg.target, tagSpawn, msg, msg.send)
 }
 
 // payloadKey carries the spawn payload to the shipped function's Image.
@@ -104,67 +125,34 @@ func (img *Image) Spawn(target int, fn SpawnFn, opts ...SpawnOpt) *Op {
 
 	// Fork edge: the child's clock starts from the spawner's at this
 	// program point (snapshotted before any relaxed-mode deferral).
-	msg := &spawnMsg{finishID: img.trackID(), event: o.event, data: nil, rclk: img.raceRelease()}
-	msg.op = img.opNew("spawn", target)
+	msg := &spawnMsg{fn: fn, finishID: img.trackID(), event: o.event, rclk: img.raceRelease(),
+		st: st, target: target, args: o.data}
+	img.opInit(&msg.op, "spawn", target)
 	if msg.op.pctx.Active() {
 		// The shipped function continues the traced request's causal
 		// path: it runs under the spawn op's span as its parent.
 		msg.pctx = path.Ctx{Req: msg.op.pctx.Req, Span: msg.op.span}
 	}
-	ptag := path.WireTag(msg.pctx)
+	msg.send = rt.SendOpts{
+		Done:  msg,
+		Class: classForBytes(img.m, o.bytes),
+		Bytes: o.bytes,
+		Path:  path.WireTag(msg.pctx),
+	}
 	if o.mirror {
-		ptag = path.MirrorTag(msg.pctx)
-	}
-	implicit := o.event == nil
-
-	var track any
-	if implicit {
-		track = img.track()
-	}
-	class := classForBytes(img.m, o.bytes)
-
-	send := func() {
-		// Argument evaluation: the payload is copied at initiation —
-		// which is also the spawn's local data completion.
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageInit)
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageLocalData)
-		if o.data != nil {
-			msg.data = append([]byte(nil), o.data...)
-		}
-		msg.fn = fn
-		tok := st.newDelivToken(msg.rclk)
-		m, me := img.m, img.Rank()
-		sendOpts := rt.SendOpts{
-			Track: track,
-			Class: class,
-			Bytes: o.bytes,
-			Path:  ptag,
-			OnDelivered: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				tok.complete()
-			},
-			// A spawn abandoned at a dead image still completes its
-			// token: an EventNotify must not wait forever on a delivery
-			// the fabric has charged off. The shipped function will never
-			// run; close the record.
-			OnAbandoned: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				m.opStageAt(msg.op, me, trace.StageGlobal)
-				tok.complete()
-			},
-		}
-		st.kern.Send(target, tagSpawn, msg, sendOpts)
+		msg.send.Path = path.MirrorTag(msg.pctx)
 	}
 
-	if implicit {
+	if o.event == nil {
+		msg.send.Track = img.track()
 		// Local data completion of a spawn is argument evaluation; with
 		// payload copied at initiation, initiation is that point.
-		op := img.ct.Register(core.OpReads, send)
-		op.CompleteLocalData()
+		img.tracker().Add(&msg.cofence, core.OpReads, msg)
+		msg.cofence.CompleteLocalData()
 	} else {
-		send()
+		msg.Initiate()
 	}
-	return msg.op
+	return &msg.op
 }
 
 // handleSpawn executes a shipped function on the destination image.
@@ -182,8 +170,8 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 		// Perfetto track instead of interleaving with the main's.
 		st.nextTid++
 		img := &Image{m: m, st: st, proc: p, tid: st.nextTid,
-			inheritedFinish: msg.finishID, ct: m.newTracker(),
-			pctx: msg.pctx}
+			inheritedFinish: msg.finishID,
+			pctx:            msg.pctx}
 		if m.det != nil {
 			// A shipped function aborted by a failure declaration still
 			// completes its delivery: the enclosing finish's received ==
@@ -213,10 +201,10 @@ func (m *Machine) handleSpawn(d *rt.Delivery) {
 		img.traceSpan("spawn-exec", "ship", execStart)
 		// Spawned context exit is a synchronization point for any
 		// initiations it deferred.
-		img.ct.Flush()
+		img.flushImplicit()
 		// The shipped function has finished executing on the target: the
 		// spawn is globally complete.
-		m.opStageAt(msg.op, img.Rank(), trace.StageGlobal)
+		m.opStageAt(&msg.op, img.Rank(), trace.StageGlobal)
 		m.spawnJoin(img, msg.event, msg.finishID, d)
 	})
 }

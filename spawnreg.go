@@ -41,14 +41,31 @@ func (m *Machine) RegisterRemote(name string, fn RemoteFn) {
 	m.registry.fns[name] = fn
 }
 
-// namedSpawnMsg is the wire form of a registered-function spawn.
+// namedSpawnMsg is a registered-function spawn: its wire form and, in
+// the same record, the spawning side's initiation state and completion.
 type namedSpawnMsg struct {
-	name     string
-	blob     []byte // gob-encoded argument list
-	finishID int64
-	event    *Event
-	op       *Op        // completion handle
-	rclk     race.Clock // spawner's clock at initiation (fork edge)
+	name      string
+	blob      []byte // gob-encoded argument list
+	finishID  int64
+	event     *Event
+	opMessage            // completion handle and delivery token
+	rclk      race.Clock // spawner's clock at initiation (fork edge)
+
+	// Initiation state, used on the spawning image.
+	st      *imageState
+	target  int
+	cofence core.PendingOp // registration of an implicit spawn
+	send    rt.SendOpts
+}
+
+// Initiate ships the spawn. The arguments are already encoded, so
+// initiation is also local data completion.
+func (msg *namedSpawnMsg) Initiate() {
+	m, me := msg.op.m, msg.op.img
+	m.opStageAt(&msg.op, me, trace.StageInit)
+	m.opStageAt(&msg.op, me, trace.StageLocalData)
+	msg.st.addDelivToken(&msg.tok, msg.rclk)
+	msg.st.kern.Send(msg.target, tagSpawnNamed, msg, msg.send)
 }
 
 // encodeArgs serializes the argument list; the byte count is the modeled
@@ -111,49 +128,25 @@ func (img *Image) SpawnNamed(target int, name string, args []any, opts ...SpawnO
 	st.spawnsSent++
 	img.traceInstant("spawn:"+name, "ship")
 
-	msg := &namedSpawnMsg{name: name, blob: blob, finishID: img.trackID(), event: o.event, rclk: img.raceRelease()}
-	msg.op = img.opNew("spawn:"+name, target)
-	implicit := o.event == nil
-	var track any
-	if implicit {
-		track = img.track()
-	}
+	msg := &namedSpawnMsg{name: name, blob: blob, finishID: img.trackID(), event: o.event, rclk: img.raceRelease(),
+		st: st, target: target}
+	img.opInit(&msg.op, "spawn:"+name, target)
 	bytes := len(blob) + 32 + len(name)
-	send := func() {
-		// Arguments are already encoded: initiation is also local data
-		// completion.
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageInit)
-		img.m.opStageAt(msg.op, img.Rank(), trace.StageLocalData)
-		tok := st.newDelivToken(msg.rclk)
-		m, me := img.m, img.Rank()
-		sendOpts := rt.SendOpts{
-			Track: track,
-			Class: classForBytes(img.m, bytes),
-			Bytes: bytes,
-			OnDelivered: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				tok.complete()
-			},
-			// See Spawn: abandonment completes the token so notifies
-			// gated on outstanding deliveries are not lost with the
-			// dead destination.
-			OnAbandoned: func() {
-				m.opStageAt(msg.op, me, trace.StageLocalOp)
-				m.opStageAt(msg.op, me, trace.StageGlobal)
-				tok.complete()
-			},
-		}
-		st.kern.Send(target, tagSpawnNamed, msg, sendOpts)
+	msg.send = rt.SendOpts{
+		Done:  msg,
+		Class: classForBytes(img.m, bytes),
+		Bytes: bytes,
 	}
-	if implicit {
+	if o.event == nil {
+		msg.send.Track = img.track()
 		// Arguments are fully evaluated (encoded) already: local data
 		// completion at initiation.
-		op := img.ct.Register(core.OpReads, send)
-		op.CompleteLocalData()
+		img.tracker().Add(&msg.cofence, core.OpReads, msg)
+		msg.cofence.CompleteLocalData()
 	} else {
-		send()
+		msg.Initiate()
 	}
-	return msg.op
+	return &msg.op
 }
 
 // handleSpawnNamed executes a registered shipped function.
@@ -167,7 +160,7 @@ func (m *Machine) handleSpawnNamed(d *rt.Delivery) {
 		st.spawnsExecuted++
 		st.nextTid++
 		img := &Image{m: m, st: st, proc: p, tid: st.nextTid,
-			inheritedFinish: msg.finishID, ct: m.newTracker()}
+			inheritedFinish: msg.finishID}
 		if m.det != nil {
 			// Same contract as handleSpawn: an aborted shipped function
 			// still completes its delivery for the finish counters.
@@ -194,8 +187,8 @@ func (m *Machine) handleSpawnNamed(d *rt.Delivery) {
 		execStart := p.Now()
 		fn(img, args)
 		img.traceSpan("spawn-exec:"+msg.name, "ship", execStart)
-		img.ct.Flush()
-		m.opStageAt(msg.op, img.Rank(), trace.StageGlobal)
+		img.flushImplicit()
+		m.opStageAt(&msg.op, img.Rank(), trace.StageGlobal)
 		m.spawnJoin(img, msg.event, msg.finishID, d)
 	})
 }
